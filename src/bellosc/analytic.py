@@ -43,7 +43,7 @@ PRODUCT_CONSISTENCY_TOL = 1e-12
 
 
 class DegenerateCouplingError(ValueError):
-    """Raised when an operation needs a finite envelope period but coupling is zero."""
+    """Raised when an operation needs a finite envelope period but the beat frequency is 0."""
 
 
 def bell_sign(state: BellState, osc: OscillatorIndex) -> int:
@@ -169,12 +169,14 @@ def period_statistics(
 
     The grid covers exactly one period 2 pi / |w_beat| uniformly; the mean
     converges to sqrt(eta) + 1/sqrt(eta) and ``fraction_below_nc`` counts grid
-    points strictly below the zero-coupling level.  Requires nonzero coupling:
-    without a finite period there is no period to average over.
+    points strictly below the zero-coupling level.  Requires a nonzero beat
+    frequency: without a finite period there is no period to average over.
+    That excludes g = 0 and couplings so small that eta rounds to 1.
     """
-    if params.coupling_ratio == 0:
+    if beat_frequency(params) == 0:
         raise DegenerateCouplingError(
-            "period statistics need coupling_ratio > 0: the envelope is constant at g = 0"
+            f"period statistics need a nonzero beat frequency: the envelope is constant "
+            f"at coupling_ratio {params.coupling_ratio!r}"
         )
     if samples_per_period < 16:
         raise ValueError(f"samples_per_period must be >= 16, got {samples_per_period}")

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import analytic, fock, oracle
 from .model import BellState, OscillatorIndex, SystemParams, beat_frequency, eta
-from .sampler import RealizationConfig, sample_realization
+from .sampler import MAX_GRID_POINTS, RealizationConfig, sample_realization
 
 __all__ = ["RunConfig", "main"]
 
@@ -59,38 +59,68 @@ class RunConfig:
         return SystemParams(omega=self.omega, coupling_ratio=self.coupling)
 
     def resolved_t_max(self, coupling: float | None = None) -> float:
-        """Explicit --t-max, else two envelope periods (two base periods at g=0)."""
+        """Explicit --t-max, else two envelope periods.
+
+        Without an envelope (g = 0, or a coupling so small that eta rounds to 1
+        and the beat frequency to 0) it is two base periods instead.
+        """
         if self.t_max is not None:
             return self.t_max
         g = self.coupling if coupling is None else coupling
-        params = SystemParams(omega=self.omega, coupling_ratio=g)
-        if g > 0:
-            return 2.0 * (2.0 * math.pi / abs(beat_frequency(params)))
-        return 2.0 * (2.0 * math.pi / self.omega)
+        beat = abs(beat_frequency(SystemParams(omega=self.omega, coupling_ratio=g)))
+        return 2.0 * (2.0 * math.pi / (beat if beat > 0 else self.omega))
 
 
 # ---------------------------------------------------------------------------
 # serialization helpers
 
+_BLOCK_ROWS = 16384  # rows formatted per call: bounds the size of each formatted string
+_JSON_ITEM_SEP = ",\n      "  # list item separator of json.dump(indent=2) at column depth
 
-def _fmt(value: float) -> str:
-    return f"{float(value):.9g}"
+
+def _blocks(n: int):
+    """Slices of at most _BLOCK_ROWS rows covering range(n)."""
+    return (slice(start, start + _BLOCK_ROWS) for start in range(0, n, _BLOCK_ROWS))
 
 
 def _write_csv(stream, columns: dict[str, np.ndarray]) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(columns.keys())
-    for row in zip(*columns.values()):
-        writer.writerow(_fmt(v) for v in row)
+    """Header row, then one row per grid point with every value as ``%.9g``.
+
+    Each block of rows is formatted by a single ``%`` call, which renders a
+    float exactly as ``f"{value:.9g}"`` does.
+    """
+    csv.writer(stream, lineterminator="\n").writerow(columns.keys())
+    cols = [np.asarray(col, dtype=float) for col in columns.values()]
+    if not cols:
+        return
+    row = ",".join(["%.9g"] * len(cols)) + "\n"
+    for rows in _blocks(len(cols[0])):
+        block = np.column_stack([col[rows] for col in cols])
+        stream.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _write_json(stream, columns: dict[str, np.ndarray], metadata: dict) -> None:
-    payload = {
-        "metadata": metadata,
-        "columns": {k: [float(_fmt(v)) for v in col] for k, col in columns.items()},
-    }
-    json.dump(payload, stream, indent=2)
-    stream.write("\n")
+    """Write ``json.dump({"metadata": ..., "columns": ...}, indent=2)`` and a newline.
+
+    Column values are rounded to 9 significant digits.  Each block of a column
+    goes through the C encoder, which writes no indent, and is then indented
+    by replacing its ", " separators: the repr of a float never contains ", ".
+    """
+    stream.write('{\n  "metadata": ' + json.dumps(metadata, indent=2).replace("\n", "\n  "))
+    stream.write(',\n  "columns": {')
+    key_sep = "\n    "
+    for name, col in columns.items():
+        stream.write(key_sep + json.dumps(name) + ": [")
+        col = np.asarray(col, dtype=float)
+        item_sep = "\n      "
+        for rows in _blocks(len(col)):
+            values = col[rows].tolist()
+            rounded = list(map(float, (("%.9g " * len(values)) % tuple(values)).split()))
+            stream.write(item_sep + json.dumps(rounded)[1:-1].replace(", ", _JSON_ITEM_SEP))
+            item_sep = _JSON_ITEM_SEP
+        stream.write("\n    ]" if len(col) else "]")
+        key_sep = ",\n    "
+    stream.write("\n  }\n}\n" if columns else "}\n}\n")
 
 
 def _emit(config: RunConfig, columns: dict[str, np.ndarray], metadata: dict) -> None:
@@ -138,16 +168,21 @@ def read_columns(path) -> dict[str, np.ndarray]:
 
 # ---------------------------------------------------------------------------
 # subcommands
+#
+# One column builder per export kind; the subcommands and `figures` all write
+# what these return through the same writers.
 
 
-def cmd_trace(config: RunConfig) -> int:
-    params = config.params()
-    t_max = config.resolved_t_max()
-    tr = analytic.trace(params, config.state, 0.0, t_max, config.steps)
-    amp1_nc, up1_nc = analytic.baseline_nc(config.state, OscillatorIndex.ONE)
-    _, up2_nc = analytic.baseline_nc(config.state, OscillatorIndex.TWO)
+def _trace_columns(
+    params: SystemParams, state: BellState, t_max: float, steps: int
+) -> dict[str, np.ndarray]:
+    if steps > MAX_GRID_POINTS:
+        raise ValueError(f"steps = {steps} exceeds the {MAX_GRID_POINTS:.0e} point guard")
+    tr = analytic.trace(params, state, 0.0, t_max, steps)
+    amp1_nc, up1_nc = analytic.baseline_nc(state, OscillatorIndex.ONE)
+    _, up2_nc = analytic.baseline_nc(state, OscillatorIndex.TWO)
     ones = np.ones_like(tr.times)
-    columns = {
+    return {
         "t": tr.times,
         "dx1": tr.dx1,
         "dx2": tr.dx2,
@@ -160,33 +195,28 @@ def cmd_trace(config: RunConfig) -> int:
         "up1_nc": up1_nc * ones,
         "up2_nc": up2_nc * ones,
     }
-    _emit(config, columns, _metadata(config, "trace"))
-    return 0
 
 
 def _pair_stats(params: SystemParams, state: BellState, osc: OscillatorIndex):
     """(min, max, mean, fraction_below) of one uncertainty product over a period."""
-    if params.coupling_ratio == 0:
+    if beat_frequency(params) == 0:
         level = analytic.baseline_nc(state, osc)[1]
         return level, level, level, 0.0
     st = analytic.period_statistics(params, state, osc, SWEEP_SAMPLES_PER_PERIOD)
     return st.min_product, st.max_product, st.mean_product, st.fraction_below_nc
 
 
-def cmd_sweep(config: RunConfig, couplings) -> int:
-    couplings = [float(g) for g in couplings]
+def _sweep_columns(
+    omega: float, state: BellState, couplings: list[float]
+) -> dict[str, np.ndarray]:
     if not couplings:
         raise ValueError("couplings list must be nonempty")
-    for g in couplings:
-        if not (math.isfinite(g) and g >= 0):
-            raise ValueError(f"couplings must be finite and >= 0, got {g!r}")
+    params = [SystemParams(omega=omega, coupling_ratio=g) for g in couplings]
     rows = []
-    for g in couplings:
-        params = SystemParams(omega=config.omega, coupling_ratio=g)
-        e = eta(params)
-        stats1 = _pair_stats(params, config.state, OscillatorIndex.ONE)
-        stats2 = _pair_stats(params, config.state, OscillatorIndex.TWO)
-        rows.append((g, e, abs(beat_frequency(params)) / config.omega, *stats1, *stats2))
+    for p in params:
+        stats1 = _pair_stats(p, state, OscillatorIndex.ONE)
+        stats2 = _pair_stats(p, state, OscillatorIndex.TWO)
+        rows.append((p.coupling_ratio, eta(p), abs(beat_frequency(p)) / omega, *stats1, *stats2))
     data = np.asarray(rows, dtype=float)
     names = (
         "coupling",
@@ -201,7 +231,36 @@ def cmd_sweep(config: RunConfig, couplings) -> int:
         "mean_up2",
         "fraction_below_nc_2",
     )
-    columns = {name: data[:, i] for i, name in enumerate(names)}
+    return {name: data[:, i] for i, name in enumerate(names)}
+
+
+def _sample_columns(
+    params: SystemParams,
+    state: BellState,
+    osc: OscillatorIndex,
+    seed: int,
+    t_max: float,
+    steps: int,
+) -> dict[str, np.ndarray]:
+    rc = RealizationConfig(seed=seed, dt=t_max / (steps - 1), t_max=t_max)
+    real = sample_realization(params, state, osc, rc)
+    return {
+        "t": real.times,
+        "sample": real.values,
+        "envelope_plus": real.envelope,
+        "envelope_minus": -real.envelope,
+    }
+
+
+def cmd_trace(config: RunConfig) -> int:
+    columns = _trace_columns(config.params(), config.state, config.resolved_t_max(), config.steps)
+    _emit(config, columns, _metadata(config, "trace"))
+    return 0
+
+
+def cmd_sweep(config: RunConfig, couplings) -> int:
+    couplings = [float(g) for g in couplings]
+    columns = _sweep_columns(config.omega, config.state, couplings)
     _emit(config, columns, _metadata(config, "sweep", couplings=couplings))
     return 0
 
@@ -209,15 +268,14 @@ def cmd_sweep(config: RunConfig, couplings) -> int:
 def cmd_sample(config: RunConfig) -> int:
     if config.steps < 2:
         raise ValueError(f"sample needs steps >= 2, got {config.steps}")
-    t_max = config.resolved_t_max()
-    rc = RealizationConfig(seed=config.seed, dt=t_max / (config.steps - 1), t_max=t_max)
-    real = sample_realization(config.params(), config.state, config.oscillator, rc)
-    columns = {
-        "t": real.times,
-        "sample": real.values,
-        "envelope_plus": real.envelope,
-        "envelope_minus": -real.envelope,
-    }
+    columns = _sample_columns(
+        config.params(),
+        config.state,
+        config.oscillator,
+        config.seed,
+        config.resolved_t_max(),
+        config.steps,
+    )
     _emit(config, columns, _metadata(config, "sample"))
     return 0
 
@@ -239,33 +297,22 @@ def cmd_figures(config: RunConfig, out_dir: str, couplings=None) -> int:
             _write_csv(fh, columns)
         index.append({"file": name, **description})
 
-    sweep_cfg = RunConfig(
-        omega=config.omega,
-        state=config.state,
-        format="csv",
-        output=str(out / "fig1.csv"),
-    )
-    cmd_sweep(sweep_cfg, sweep_grid)
-    index.append(
+    save(
+        "fig1.csv",
+        _sweep_columns(config.omega, config.state, sweep_grid),
         {
-            "file": "fig1.csv",
             "figure": 1,
             "quantity": "relative envelope frequency and period statistics vs coupling",
             "state": config.state.value,
-        }
+        },
     )
 
     sample_params = SystemParams(omega=config.omega, coupling_ratio=FIGURE_SAMPLE_COUPLING)
-    rc = RealizationConfig(seed=config.seed, dt=t_max / (config.steps - 1), t_max=t_max)
-    real = sample_realization(sample_params, config.state, OscillatorIndex.ONE, rc)
     save(
         "fig2.csv",
-        {
-            "t": real.times,
-            "sample": real.values,
-            "envelope_plus": real.envelope,
-            "envelope_minus": -real.envelope,
-        },
+        _sample_columns(
+            sample_params, config.state, OscillatorIndex.ONE, config.seed, t_max, config.steps
+        ),
         {
             "figure": 2,
             "quantity": "one seeded realization of the oscillator-1 coordinate fluctuations",
@@ -281,15 +328,16 @@ def cmd_figures(config: RunConfig, out_dir: str, couplings=None) -> int:
         ("fig5.csv", 5, "up1", "normalized uncertainty product, oscillator 1"),
         ("fig6.csv", 6, "up2", "normalized uncertainty product, oscillator 2"),
     ]
-    times = np.linspace(0.0, t_max, config.steps)
-    traces = {}
-    for g in FIGURE_COUPLINGS:
-        params = SystemParams(omega=config.omega, coupling_ratio=g)
-        traces[g] = analytic.trace(params, config.state, 0.0, t_max, config.steps)
+    traces = {
+        g: _trace_columns(
+            SystemParams(omega=config.omega, coupling_ratio=g), config.state, t_max, config.steps
+        )
+        for g in FIGURE_COUPLINGS
+    }
     for name, number, column, description in per_figure:
-        columns = {"t": times}
+        columns = {"t": traces[FIGURE_COUPLINGS[0]]["t"]}
         for g in FIGURE_COUPLINGS:
-            columns[f"{column}_g{g:g}"] = getattr(traces[g], column)
+            columns[f"{column}_g{g:g}"] = traces[g][column]
         save(
             name,
             columns,
@@ -319,9 +367,11 @@ def cmd_figures(config: RunConfig, out_dir: str, couplings=None) -> int:
 
 
 def cmd_verify(config: RunConfig) -> int:
+    tol = config.tolerance
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
     params = config.params()
     basis = fock.TwoModeBasis(config.cutoff)
-    tol = config.tolerance
 
     checks: list[oracle.OracleReport] = []
     checks.extend(oracle.commutator_check(basis))

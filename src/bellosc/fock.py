@@ -38,6 +38,10 @@ __all__ = [
 
 HERMITICITY_TOL = 1e-12
 
+# Largest accepted cutoff.  dim = (cutoff + 1)^2, so at 40 one dense complex
+# operator holds 1681^2 entries (45 MB); at 100 it would be 1.7 GB.
+MAX_CUTOFF = 40
+
 
 class ConvergenceError(RuntimeError):
     """Raised when an eigensolve fails or a prepared state is visibly truncated."""
@@ -87,14 +91,15 @@ class TwoModeBasis:
     Basis states are ordered lexicographically with n2 fastest, i.e. the state
     |n1, n2> sits at index n1 * (cutoff + 1) + n2.  A cutoff of at least 3 is
     required: quadratic observables on the single-excitation states reach
-    occupation 3.
+    occupation 3.  At most MAX_CUTOFF is accepted, which bounds the size of
+    every dense operator.
     """
 
     cutoff: int
 
     def __post_init__(self) -> None:
-        if self.cutoff < 3:
-            raise ValueError(f"cutoff must be >= 3, got {self.cutoff}")
+        if not 3 <= self.cutoff <= MAX_CUTOFF:
+            raise ValueError(f"cutoff must be between 3 and {MAX_CUTOFF}, got {self.cutoff}")
 
     @property
     def levels(self) -> int:

@@ -65,6 +65,11 @@ class SystemParams:
             raise ValueError(
                 f"coupling_ratio must be finite and >= 0, got {self.coupling_ratio!r}"
             )
+        if not math.isfinite(eta(self)):
+            raise ValueError(
+                f"coupling_ratio {self.coupling_ratio!r} is too large: "
+                "eta = sqrt(1 + 2 g^2) overflows"
+            )
 
 
 def eta(params: SystemParams) -> float:

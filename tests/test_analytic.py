@@ -166,9 +166,10 @@ class TestBaseline:
 
 
 class TestPeriodStatistics:
-    def test_rejects_zero_coupling(self):
+    @pytest.mark.parametrize("g", [0.0, 1e-300])
+    def test_rejects_zero_coupling(self, g):
         with pytest.raises(DegenerateCouplingError):
-            period_statistics(SystemParams(1.0, 0.0), PSI_P, OSC1, 64)
+            period_statistics(SystemParams(1.0, g), PSI_P, OSC1, 64)
 
     def test_rejects_coarse_grid(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: formats, exit codes, and figure data files."""
 
+import csv
+import io
 import json
 import math
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 from bellosc import analytic
-from bellosc.cli import main, read_columns
+from bellosc.cli import _BLOCK_ROWS, _write_csv, _write_json, main, read_columns
 from bellosc.model import BellState, OscillatorIndex, SystemParams
 from bellosc.sampler import RealizationConfig, sample_realization
 
@@ -24,6 +26,60 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def one_error_line(err):
+    lines = err.strip().splitlines()
+    return len(lines) == 1 and lines[0].startswith("error:")
+
+
+def reference_csv(stream, columns):
+    """The per-value CSV writer the block writer must reproduce byte for byte."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(columns.keys())
+    for row in zip(*columns.values()):
+        writer.writerow(f"{float(v):.9g}" for v in row)
+
+
+def reference_json(stream, columns, metadata):
+    """The per-value JSON writer the block writer must reproduce byte for byte."""
+    payload = {
+        "metadata": metadata,
+        "columns": {k: [float(f"{float(v):.9g}") for v in col] for k, col in columns.items()},
+    }
+    json.dump(payload, stream, indent=2)
+    stream.write("\n")
+
+
+EDGE_VALUES = [
+    0.0, -0.0, math.nan, math.inf, -math.inf, 1e20, 5e-324, 1 / 3, 2.5e9, 123456789012.0,
+]
+METADATA = {"command": "trace", "t_max": None, "couplings": [0.0, 0.5], "nested": {}}
+
+
+class TestWriters:
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            {"a": np.array(EDGE_VALUES), "b": -np.array(EDGE_VALUES[::-1])},
+            {},
+            {"empty": np.array([])},
+            {
+                "t": np.linspace(0.0, 1.0, 2 * _BLOCK_ROWS + 3),
+                "x": np.random.default_rng(0).standard_normal(2 * _BLOCK_ROWS + 3),
+            },
+        ],
+        ids=["edge-values", "no-columns", "empty-column", "across-blocks"],
+    )
+    def test_block_writers_match_per_value_reference(self, columns):
+        expected, actual = io.StringIO(), io.StringIO()
+        reference_csv(expected, columns)
+        _write_csv(actual, columns)
+        assert actual.getvalue() == expected.getvalue()
+        expected, actual = io.StringIO(), io.StringIO()
+        reference_json(expected, columns, METADATA)
+        _write_json(actual, columns, METADATA)
+        assert actual.getvalue() == expected.getvalue()
 
 
 class TestTrace:
@@ -92,6 +148,11 @@ class TestTrace:
         assert code == 2
         assert "error" in err
 
+    def test_steps_above_grid_guard_is_config_error(self, capsys):
+        code, _, err = run(capsys, "trace", "--steps", "100000000")
+        assert code == 2
+        assert one_error_line(err) and "steps" in err
+
 
 class TestSweep:
     def test_reference_rows(self, capsys):
@@ -119,6 +180,11 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--couplings", "0.2,-1")
         assert code == 2
         assert "error" in err
+
+    def test_rejects_coupling_whose_eta_overflows(self, capsys):
+        code, _, err = run(capsys, "sweep", "--couplings", "0.2,1e200")
+        assert code == 2
+        assert one_error_line(err) and "1e+200" in err
 
     def test_rejects_empty_list(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -205,6 +271,18 @@ class TestVerify:
         assert code == 2
         assert "cutoff" in err
 
+    def test_cutoff_above_ceiling_is_config_error(self, capsys):
+        code, _, err = run(capsys, "verify", "--cutoff", "100")
+        assert code == 2
+        assert one_error_line(err) and "cutoff" in err
+
+    @pytest.mark.parametrize("tolerance", ["-1", "nan"])
+    def test_bad_tolerance_is_config_error(self, tolerance, capsys):
+        code, out, err = run(capsys, "verify", "--tolerance", tolerance)
+        assert code == 2
+        assert out == ""
+        assert one_error_line(err) and "tolerance" in err
+
     def test_unreachable_tolerance_fails_with_diff_reported(self, capsys):
         code, out, _ = run(capsys, "verify", "--cutoff", "8", "--tolerance", "1e-30")
         assert code == 1
@@ -287,6 +365,24 @@ class TestExitCodes:
         code, _, err = run(capsys, "trace", "--omega", "-1")
         assert code == 2
         assert "omega" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--cutoff", "8"),
+            ("trace", "--steps", "5"),
+            ("sample", "--steps", "5"),
+            ("sweep", "--couplings", "1e-300"),
+        ],
+        ids=["verify", "trace", "sample", "sweep"],
+    )
+    def test_coupling_too_small_to_beat_runs_like_zero(self, argv, capsys):
+        # eta rounds to 1 and the beat frequency to 0: no envelope period exists
+        if argv[0] != "sweep":
+            argv = (*argv, "--coupling", "1e-300")
+        code, _, err = run(capsys, *argv)
+        assert code == 0
+        assert err == ""
 
     def test_missing_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -34,7 +34,7 @@ class TestSystemParams:
         with pytest.raises(ValueError):
             SystemParams(omega=omega)
 
-    @pytest.mark.parametrize("g", [-0.1, math.nan])
+    @pytest.mark.parametrize("g", [-0.1, math.nan, 1e200])
     def test_rejects_bad_coupling(self, g):
         with pytest.raises(ValueError):
             SystemParams(coupling_ratio=g)
