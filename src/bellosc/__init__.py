@@ -20,19 +20,7 @@ from .analytic import (
     uncertainty_product,
     uncertainty_sum,
 )
-from .fock import (
-    ConvergenceError,
-    OperatorMatrix,
-    TwoModeBasis,
-    bare_quadratures,
-    bell_vector,
-    coupled_hamiltonian,
-    ground_state,
-    ladder_matrices,
-    normal_mode_ladders,
-    normal_mode_quadratures,
-    quadrature_matrices,
-)
+from .fock import ConvergenceError, SolvedSystem, TwoModeBasis, bell_vector, solve
 from .model import (
     BellState,
     ModeIndex,
@@ -60,35 +48,29 @@ __all__ = [
     "DegenerateCouplingError",
     "FluctuationTrace",
     "ModeIndex",
-    "OperatorMatrix",
     "OracleReport",
     "OscillatorIndex",
     "PeriodStats",
     "Realization",
     "RealizationConfig",
+    "SolvedSystem",
     "SystemParams",
     "TwoModeBasis",
-    "bare_quadratures",
     "baseline_nc",
     "beat_frequency",
     "bell_sign",
     "bell_vector",
     "commutator_check",
-    "coupled_hamiltonian",
     "cross_momentum_scaling_probe",
     "eta",
     "evolve_expectations",
-    "ground_state",
     "heisenberg_evolution_check",
-    "ladder_matrices",
     "mode_frequency",
-    "normal_mode_ladders",
-    "normal_mode_quadratures",
     "normalized_p_fluctuation",
     "normalized_x_fluctuation",
     "period_statistics",
-    "quadrature_matrices",
     "sample_realization",
+    "solve",
     "table1_check",
     "trace",
     "uncertainty_product",

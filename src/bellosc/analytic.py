@@ -184,10 +184,14 @@ def period_statistics(
     times = (np.arange(samples_per_period) + 0.5) * (period / samples_per_period)
     products = uncertainty_product(params, state, osc, times)
     baseline = baseline_nc(state, osc)[1]
+    lo, hi = float(np.min(products)), float(np.max(products))
+    # np.mean of equal values can round past them (all 4096 products agree
+    # at g = 1e150); the mean of values in [lo, hi] lies in [lo, hi].
+    mean = min(max(float(np.mean(products)), lo), hi)
     return PeriodStats(
-        min_product=float(np.min(products)),
-        max_product=float(np.max(products)),
-        mean_product=float(np.mean(products)),
+        min_product=lo,
+        max_product=hi,
+        mean_product=mean,
         fraction_below_nc=float(np.mean(products < baseline)),
         nc_baseline=baseline,
     )

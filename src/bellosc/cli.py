@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, fock, oracle
-from .model import BellState, OscillatorIndex, SystemParams, beat_frequency, eta
+from .model import BellState, OscillatorIndex, SystemParams, beat_frequency, default_t_max, eta
 from .sampler import MAX_GRID_POINTS, RealizationConfig, sample_realization
 
 __all__ = ["RunConfig", "main"]
@@ -59,16 +59,11 @@ class RunConfig:
         return SystemParams(omega=self.omega, coupling_ratio=self.coupling)
 
     def resolved_t_max(self, coupling: float | None = None) -> float:
-        """Explicit --t-max, else two envelope periods.
-
-        Without an envelope (g = 0, or a coupling so small that eta rounds to 1
-        and the beat frequency to 0) it is two base periods instead.
-        """
+        """Explicit --t-max, else ``model.default_t_max``: two envelope periods."""
         if self.t_max is not None:
             return self.t_max
         g = self.coupling if coupling is None else coupling
-        beat = abs(beat_frequency(SystemParams(omega=self.omega, coupling_ratio=g)))
-        return 2.0 * (2.0 * math.pi / (beat if beat > 0 else self.omega))
+        return default_t_max(SystemParams(omega=self.omega, coupling_ratio=g))
 
 
 # ---------------------------------------------------------------------------
@@ -154,16 +149,6 @@ def _metadata(config: RunConfig, command: str, **extra) -> dict:
     }
     meta.update(extra)
     return meta
-
-
-def read_columns(path) -> dict[str, np.ndarray]:
-    """Load a CSV written by this tool back into named float columns."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(cell) for cell in row] for row in reader]
-    data = np.asarray(rows, dtype=float)
-    return {name: data[:, i] for i, name in enumerate(header)}
 
 
 # ---------------------------------------------------------------------------
@@ -372,25 +357,32 @@ def cmd_verify(config: RunConfig) -> int:
         raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
     params = config.params()
     basis = fock.TwoModeBasis(config.cutoff)
+    if basis.dim * config.steps > MAX_GRID_POINTS:
+        raise ValueError(
+            f"--steps {config.steps} at --cutoff {config.cutoff} would evolve "
+            f"{basis.dim} x {config.steps} amplitudes, over the {MAX_GRID_POINTS:.0e} guard"
+        )
+    # The probe solves its own system; running it first keeps one alive at a time.
+    accepted, rejected = oracle.cross_momentum_scaling_probe(params, basis, tol)
+    system = fock.solve(params, basis)
 
     checks: list[oracle.OracleReport] = []
-    checks.extend(oracle.commutator_check(basis))
-    checks.extend(oracle.table1_check(params, basis, tol))
-    accepted, rejected = oracle.cross_momentum_scaling_probe(params, basis, tol)
+    checks.extend(oracle.commutator_check(system))
+    checks.extend(oracle.table1_check(system, tol))
     checks.append(accepted)
     check_time = 1.0 / config.omega
     checks.append(
-        oracle.heisenberg_evolution_check(params, basis, check_time, tol, canonical_momentum=True)
+        oracle.heisenberg_evolution_check(system, check_time, tol, canonical_momentum=True)
     )
     noncanonical = oracle.heisenberg_evolution_check(
-        params, basis, check_time, tol, canonical_momentum=False
+        system, check_time, tol, canonical_momentum=False
     )
 
     t_max = config.resolved_t_max()
     times = np.linspace(0.0, t_max, config.steps)
     for state in (BellState.PSI_PLUS, BellState.PSI_MINUS):
         closed = analytic.trace(params, state, 0.0, t_max, config.steps)
-        evolved = oracle.evolve_expectations(params, state, basis, times)
+        evolved = oracle.evolve_expectations(system, state, times)
         dev = max(
             float(np.max(np.abs(getattr(closed, col) - getattr(evolved, col))))
             for col in ("dx1", "dx2", "dp1", "dp2")

@@ -3,9 +3,13 @@
 The verification oracle represents every observable as a dense matrix in the
 product number basis |n1, n2> of the two bare oscillators (each factor built
 at the natural frequency omega), diagonalizes the coupled Hamiltonian exactly,
-and prepares the entangled states from the numerical ground state.  Nothing
-here relies on the closed-form amplitude results; this module is the
-independent leg of every cross-check.
+and prepares the entangled states from the numerical ground state.  No
+closed-form amplitude result enters; the one model input is the pair of
+normal-mode frequencies omega and eta * omega (``model.mode_frequency``) at
+which the Bell-state ladder operators are built.
+
+:func:`solve` builds all of this once per ``(params, basis)`` and returns a
+:class:`SolvedSystem` of read-only arrays, which every oracle check reads.
 
 Truncation corrupts only the top Fock levels, so operator identities are
 meaningful on the low-lying subspace where every occupation stays well below
@@ -23,16 +27,15 @@ from .model import BellState, ModeIndex, SystemParams, mode_frequency
 __all__ = [
     "ConvergenceError",
     "OperatorMatrix",
+    "SolvedSystem",
     "TwoModeBasis",
     "ladder_matrices",
     "quadrature_matrices",
     "bare_quadratures",
-    "coupled_hamiltonian",
-    "coupled_hamiltonian_shifted_form",
     "normal_mode_quadratures",
-    "normal_mode_ladders",
+    "coupled_hamiltonian",
     "hamiltonian_eigensystem",
-    "ground_state",
+    "solve",
     "bell_vector",
 ]
 
@@ -49,39 +52,25 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """A dense complex matrix representing an observable or unitary.
+    """Validator of one observable matrix: square, dim >= 2 and Hermitian.
 
-    The wrapped array is validated (square, dim >= 2, hermiticity when hinted)
-    and frozen read-only at construction, so instances are safe to share
-    between threads.
+    Construction freezes the array read-only; the builders below keep only
+    ``.matrix``.
     """
 
     matrix: np.ndarray
-    hermitian_hint: bool = False
 
     def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=complex)
+        m = np.asarray(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"operator matrix must be square, got shape {m.shape}")
         if m.shape[0] < 2:
             raise ValueError(f"operator matrix dimension must be >= 2, got {m.shape[0]}")
-        if self.hermitian_hint:
-            dev = np.max(np.abs(m - m.conj().T))
-            if dev >= HERMITICITY_TOL:
-                raise ValueError(f"matrix hinted hermitian deviates by {dev:.3e}")
+        dev = np.max(np.abs(m - m.conj().T))
+        if dev >= HERMITICITY_TOL:
+            raise ValueError(f"operator matrix deviates from hermitian by {dev:.3e}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def dagger(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.matrix.conj().T, hermitian_hint=self.hermitian_hint)
-
-    def expectation(self, vec: np.ndarray) -> complex:
-        """<vec| M |vec> for a (not necessarily normalized) state vector."""
-        return complex(np.vdot(vec, self.matrix @ vec))
 
 
 @dataclass(frozen=True)
@@ -132,7 +121,7 @@ class TwoModeBasis:
         return (n1 <= keep) & (n2 <= keep)
 
 
-def ladder_matrices(cutoff: int) -> tuple[OperatorMatrix, OperatorMatrix]:
+def ladder_matrices(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     """Single-mode lowering and raising matrices on levels 0..cutoff.
 
     The lowering matrix has entries sqrt(n) at positions (n - 1, n); the
@@ -142,116 +131,73 @@ def ladder_matrices(cutoff: int) -> tuple[OperatorMatrix, OperatorMatrix]:
     """
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    lowering = np.diag(np.sqrt(np.arange(1, cutoff + 1, dtype=float)), k=1).astype(complex)
-    return OperatorMatrix(lowering), OperatorMatrix(lowering.conj().T)
+    lowering = np.diag(np.sqrt(np.arange(1, cutoff + 1, dtype=float)), k=1)
+    return lowering, lowering.T
 
 
-def quadrature_matrices(cutoff: int, mode_freq: float) -> tuple[OperatorMatrix, OperatorMatrix]:
+def quadrature_matrices(cutoff: int, mode_freq: float) -> tuple[np.ndarray, np.ndarray]:
     """Position and momentum matrices of a single mode at frequency mode_freq.
 
     X = (a^dag + a) / sqrt(2 w) and P = i sqrt(w / 2) (a^dag - a), both
-    Hermitian (hbar = 1).
+    Hermitian (hbar = 1): X is real and P purely imaginary.
     """
     if mode_freq <= 0:
         raise ValueError(f"mode_freq must be > 0, got {mode_freq}")
-    low, raise_ = ladder_matrices(cutoff)
-    a, adag = low.matrix, raise_.matrix
+    a, adag = ladder_matrices(cutoff)
     x = (adag + a) / np.sqrt(2.0 * mode_freq)
     p = 1j * np.sqrt(mode_freq / 2.0) * (adag - a)
-    return OperatorMatrix(x, hermitian_hint=True), OperatorMatrix(p, hermitian_hint=True)
-
-
-def _embed(single: np.ndarray, basis: TwoModeBasis, which: int) -> np.ndarray:
-    """Lift a single-mode matrix onto oscillator 1 or 2 of the product space."""
-    eye = np.eye(basis.levels, dtype=complex)
-    if which == 1:
-        return np.kron(single, eye)
-    return np.kron(eye, single)
+    return x, p
 
 
 def bare_quadratures(
     params: SystemParams, basis: TwoModeBasis
-) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix, OperatorMatrix]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Bare coordinates and momenta (x1, x2, p1, p2) on the product space.
 
     Each factor is represented in its own frequency-omega number basis.
     """
     x, p = quadrature_matrices(basis.cutoff, params.omega)
-    return (
-        OperatorMatrix(_embed(x.matrix, basis, 1), hermitian_hint=True),
-        OperatorMatrix(_embed(x.matrix, basis, 2), hermitian_hint=True),
-        OperatorMatrix(_embed(p.matrix, basis, 1), hermitian_hint=True),
-        OperatorMatrix(_embed(p.matrix, basis, 2), hermitian_hint=True),
+    eye = np.eye(basis.levels)
+    x1, x2, p1, p2 = (
+        OperatorMatrix(m).matrix
+        for m in (np.kron(x, eye), np.kron(eye, x), np.kron(p, eye), np.kron(eye, p))
     )
-
-
-def coupled_hamiltonian(params: SystemParams, basis: TwoModeBasis) -> OperatorMatrix:
-    """Hamiltonian (p1^2 + p2^2 + w^2 (x1^2 + x2^2) + W^2 (x1 - x2)^2) / 2.
-
-    W = g * w is the coupling strength.  Hermitian by construction.
-    """
-    x1, x2, p1, p2 = (op.matrix for op in bare_quadratures(params, basis))
-    w2 = params.omega**2
-    big_omega2 = (params.coupling_ratio * params.omega) ** 2
-    diff = x1 - x2
-    h = 0.5 * (p1 @ p1 + p2 @ p2 + w2 * (x1 @ x1 + x2 @ x2) + big_omega2 * (diff @ diff))
-    return OperatorMatrix(h, hermitian_hint=True)
-
-
-def coupled_hamiltonian_shifted_form(params: SystemParams, basis: TwoModeBasis) -> OperatorMatrix:
-    """Algebraically identical arrangement with shifted single-oscillator frequency.
-
-    (p1^2 + p2^2 + w'^2 (x1^2 + x2^2) - 2 W^2 x1 x2) / 2 with w'^2 = w^2 + W^2,
-    which makes the position-position character of the coupling explicit.
-    Kept separate so the identity of the two assemblies is testable.
-    """
-    x1, x2, p1, p2 = (op.matrix for op in bare_quadratures(params, basis))
-    big_omega2 = (params.coupling_ratio * params.omega) ** 2
-    wprime2 = params.omega**2 + big_omega2
-    h = 0.5 * (
-        p1 @ p1 + p2 @ p2 + wprime2 * (x1 @ x1 + x2 @ x2) - 2.0 * big_omega2 * (x1 @ x2)
-    )
-    return OperatorMatrix(h, hermitian_hint=True)
+    return x1, x2, p1, p2
 
 
 def normal_mode_quadratures(
-    params: SystemParams, basis: TwoModeBasis
-) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix, OperatorMatrix]:
+    x1: np.ndarray, x2: np.ndarray, p1: np.ndarray, p2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Collective coordinates (X+, X-, P+, P-) with X± = (x1 ± x2)/sqrt(2)."""
-    x1, x2, p1, p2 = (op.matrix for op in bare_quadratures(params, basis))
     inv = 1.0 / np.sqrt(2.0)
-    return (
-        OperatorMatrix(inv * (x1 + x2), hermitian_hint=True),
-        OperatorMatrix(inv * (x1 - x2), hermitian_hint=True),
-        OperatorMatrix(inv * (p1 + p2), hermitian_hint=True),
-        OperatorMatrix(inv * (p1 - p2), hermitian_hint=True),
-    )
+    xp = OperatorMatrix(inv * (x1 + x2)).matrix
+    xm = OperatorMatrix(inv * (x1 - x2)).matrix
+    pp = OperatorMatrix(inv * (p1 + p2)).matrix
+    pm = OperatorMatrix(inv * (p1 - p2)).matrix
+    return xp, xm, pp, pm
 
 
-def normal_mode_ladders(
-    params: SystemParams, basis: TwoModeBasis
-) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix, OperatorMatrix]:
-    """Normal-mode ladder operators (A+, A+^dag, A-, A-^dag).
+def coupled_hamiltonian(params: SystemParams, basis: TwoModeBasis) -> np.ndarray:
+    """Hamiltonian (p1^2 + p2^2 + w^2 (x1^2 + x2^2) + W^2 (x1 - x2)^2) / 2, real symmetric.
 
-    Built from the collective quadratures as A = sqrt(w/2) (X + i P / w) at the
-    mode's own frequency, so [A_a, A_b^dag] = delta_ab holds on low-lying
-    states up to truncation artifacts.
+    W = g * w is the coupling strength.  Every square is the truncated
+    single-mode product lifted onto the product space, x1^2 = kron(x @ x, 1)
+    and x1 x2 = kron(x, x), which equals the product of the lifted matrices.
+    p^2 is real because p is purely imaginary.
     """
-    xp, xm, pp, pm = (op.matrix for op in normal_mode_quadratures(params, basis))
-    out = []
-    for x, p, mode in ((xp, pp, ModeIndex.PLUS), (xm, pm, ModeIndex.MINUS)):
-        w = mode_frequency(params, mode)
-        a = np.sqrt(w / 2.0) * (x + 1j * p / w)
-        out.append(OperatorMatrix(a))
-        out.append(OperatorMatrix(a.conj().T))
-    return out[0], out[1], out[2], out[3]
+    x, p = quadrature_matrices(basis.cutoff, params.omega)
+    xx, pp = x @ x, (p @ p).real
+    eye = np.eye(basis.levels)
+    x_sq = np.kron(xx, eye) + np.kron(eye, xx)
+    diff_sq = x_sq - 2.0 * np.kron(x, x)
+    w2 = params.omega**2
+    big_omega2 = (params.coupling_ratio * params.omega) ** 2
+    h = 0.5 * (np.kron(pp, eye) + np.kron(eye, pp) + w2 * x_sq + big_omega2 * diff_sq)
+    return OperatorMatrix(h).matrix
 
 
-def hamiltonian_eigensystem(
-    params: SystemParams, basis: TwoModeBasis
-) -> tuple[np.ndarray, np.ndarray]:
-    """Full Hermitian eigendecomposition (eigenvalues ascending, eigenvectors as columns)."""
-    h = coupled_hamiltonian(params, basis).matrix
+def hamiltonian_eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a real-symmetric H (eigenvalues ascending, eigenvectors as columns)."""
     try:
         energies, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -259,25 +205,71 @@ def hamiltonian_eigensystem(
     return energies, vectors
 
 
-def ground_state(params: SystemParams, basis: TwoModeBasis) -> tuple[float, np.ndarray]:
-    """Ground energy and ground-state vector of the coupled Hamiltonian."""
-    energies, vectors = hamiltonian_eigensystem(params, basis)
-    return float(energies[0]), vectors[:, 0]
+@dataclass(frozen=True, eq=False)
+class SolvedSystem:
+    """Every oracle matrix of one ``(params, basis)``, built once by :func:`solve`.
+
+    All arrays are read-only, so a system can be shared between threads.
+    ``xp, xm, pp, pm`` are X+, X-, P+, P-; ``h`` is real symmetric and
+    ``energies, vectors`` its float64 eigensystem (ascending, eigenvectors as
+    columns); ``ground`` is the lowest eigenvector.
+    """
+
+    params: SystemParams
+    basis: TwoModeBasis
+    x1: np.ndarray
+    x2: np.ndarray
+    p1: np.ndarray
+    p2: np.ndarray
+    xp: np.ndarray
+    xm: np.ndarray
+    pp: np.ndarray
+    pm: np.ndarray
+    h: np.ndarray
+    energies: np.ndarray
+    vectors: np.ndarray
+    ground: np.ndarray
+
+    def normal_modes(self) -> tuple[tuple[np.ndarray, np.ndarray, float], ...]:
+        """(X, P, frequency) of the slow + mode, then of the fast - mode.
+
+        The frequencies omega and eta * omega come from ``model.mode_frequency``.
+        """
+        return (
+            (self.xp, self.pp, mode_frequency(self.params, ModeIndex.PLUS)),
+            (self.xm, self.pm, mode_frequency(self.params, ModeIndex.MINUS)),
+        )
 
 
-def bell_vector(state: BellState, params: SystemParams, basis: TwoModeBasis) -> np.ndarray:
+def solve(params: SystemParams, basis: TwoModeBasis) -> SolvedSystem:
+    """Build the quadratures and H of ``(params, basis)`` and diagonalize H, once."""
+    x1, x2, p1, p2 = bare_quadratures(params, basis)
+    xp, xm, pp, pm = normal_mode_quadratures(x1, x2, p1, p2)
+    h = coupled_hamiltonian(params, basis)
+    energies, vectors = hamiltonian_eigensystem(h)
+    energies.setflags(write=False)
+    vectors.setflags(write=False)
+    return SolvedSystem(
+        params, basis, x1, x2, p1, p2, xp, xm, pp, pm, h, energies, vectors, vectors[:, 0]
+    )
+
+
+def bell_vector(system: SolvedSystem, state: BellState) -> np.ndarray:
     """Entangled single-excitation state (A-^dag |g> ± A+^dag |g>) / sqrt(2).
 
-    |g> is the numerically exact ground state, so the construction carries no
-    closed-form input.  The raw vector must come out normalized up to
-    truncation noise; a deviation beyond 1e-3 signals a basis too small for
-    the requested coupling (the tests pin the much tighter norms reached at
-    the supported cutoffs).
+    |g> is the numerically exact ground state.  Each raising operator
+    A^dag = sqrt(w/2) (X - i P / w), at its mode's frequency w, is applied as
+    two operator-times-vector products.  The raw vector must come out
+    normalized up to truncation noise; a deviation beyond 1e-3 signals a
+    basis too small for the requested coupling (the tests pin the much
+    tighter norms reached at the supported cutoffs).
     """
-    _, gs = ground_state(params, basis)
-    _, ap_dag, _, am_dag = normal_mode_ladders(params, basis)
+    gs = system.ground
+    ap_g, am_g = (
+        np.sqrt(w / 2.0) * (x @ gs - 1j * (p @ gs) / w) for x, p, w in system.normal_modes()
+    )
     sign = 1.0 if state is BellState.PSI_PLUS else -1.0
-    raw = (am_dag.matrix @ gs + sign * (ap_dag.matrix @ gs)) / np.sqrt(2.0)
+    raw = (am_g + sign * ap_g) / np.sqrt(2.0)
     norm = float(np.linalg.norm(raw))
     if abs(norm - 1.0) > 1e-3:
         raise ConvergenceError(

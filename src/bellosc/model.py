@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 
@@ -70,6 +71,20 @@ class SystemParams:
                 f"coupling_ratio {self.coupling_ratio!r} is too large: "
                 "eta = sqrt(1 + 2 g^2) overflows"
             )
+        # The oracle squares omega, g * omega and eta * omega: each square must
+        # be finite, and omega^2 (so also (eta * omega)^2) a normal float.
+        # (g * omega)^2 may underflow to 0; that coupling then acts like g = 0.
+        # These bounds also keep default_t_max finite and normal.
+        g, w = self.coupling_ratio, self.omega
+        if not math.isfinite(w * w):
+            raise ValueError(f"omega {w!r} is too large: omega^2 overflows")
+        if w * w < sys.float_info.min:
+            raise ValueError(f"omega {w!r} is too small: omega^2 underflows")
+        for name, value in (("coupling_ratio * omega", g * w), ("eta * omega", eta(self) * w)):
+            if not math.isfinite(value * value):
+                raise ValueError(
+                    f"coupling_ratio {g!r} is too large for omega {w!r}: ({name})^2 overflows"
+                )
 
 
 def eta(params: SystemParams) -> float:
@@ -97,3 +112,13 @@ def beat_frequency(params: SystemParams) -> float:
     value.  Its magnitude stays below omega for all couplings g < 1.
     """
     return mode_frequency(params, ModeIndex.PLUS) - mode_frequency(params, ModeIndex.MINUS)
+
+
+def default_t_max(params: SystemParams) -> float:
+    """Two envelope periods 4 pi / |w_beat|, the default end of every time grid.
+
+    Without an envelope (g = 0, or a coupling so small that eta rounds to 1
+    and the beat frequency to 0) it is two base periods 4 pi / omega instead.
+    """
+    beat = abs(beat_frequency(params))
+    return 2.0 * (2.0 * math.pi / (beat if beat > 0 else params.omega))

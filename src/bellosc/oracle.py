@@ -1,9 +1,10 @@
 """First-principles numerical verification of every closed-form result.
 
-Builds states and observables with :mod:`bellosc.fock`, evolves them through
-the exact eigendecomposition of the coupled Hamiltonian, and compares against
-the closed-form matrix elements and amplitude formulas.  Each comparison is
-returned as an :class:`OracleReport`; failures are reported, never thrown.
+Reads states and observables from one :class:`bellosc.fock.SolvedSystem`,
+evolves them through the exact eigendecomposition of the coupled Hamiltonian,
+and compares against the closed-form matrix elements and amplitude formulas.
+Each comparison is returned as an :class:`OracleReport`; failures are
+reported, never thrown.
 
 Two adjudication probes are included for closed forms that circulate in two
 variants: the cross-mode momentum correlation (whose value scales with omega,
@@ -22,7 +23,7 @@ import numpy as np
 from .analytic import FluctuationTrace
 from .model import BellState, ModeIndex, SystemParams, eta, mode_frequency
 from . import fock
-from .fock import TwoModeBasis
+from .fock import SolvedSystem, TwoModeBasis
 
 __all__ = [
     "OracleReport",
@@ -74,59 +75,42 @@ def _fmt_complex(z: complex) -> str:
     return f"{z.real:.6g}{z.imag:+.6g}j"
 
 
-def _expval(matrix: np.ndarray, vec: np.ndarray) -> complex:
-    return complex(np.vdot(vec, matrix @ vec))
-
-
-def _state_tag(state: BellState) -> str:
-    return state.value
-
-
-def table1_check(params: SystemParams, basis: TwoModeBasis, tol: float) -> list[OracleReport]:
+def table1_check(system: SolvedSystem, tol: float) -> list[OracleReport]:
     """Check all normal-mode matrix elements on both entangled states.
 
     Eight families per state: first moments of X and P (zero), diagonal second
     moments 1/w_a and w_a, symmetrized cross correlations +-1/(2 sqrt(eta) w)
-    and +-sqrt(eta) w / 2, and the ordered XP / PX products +-i/2.
+    and +-sqrt(eta) w / 2, and the ordered XP / PX products +-i/2.  Each
+    <psi|AB|psi> is taken as the inner product of A|psi> and B|psi>.
     """
-    if basis.cutoff < 6:
-        raise ValueError(
-            f"matrix-element checks need cutoff >= 6, got {basis.cutoff}"
-        )
+    params, cutoff = system.params, system.basis.cutoff
+    if cutoff < 6:
+        raise ValueError(f"matrix-element checks need cutoff >= 6, got {cutoff}")
     e = eta(params)
     w = params.omega
     wp = mode_frequency(params, ModeIndex.PLUS)
     wm = mode_frequency(params, ModeIndex.MINUS)
-    xp, xm, pp, pm = (op.matrix for op in fock.normal_mode_quadratures(params, basis))
+    ops = {"X+": system.xp, "X-": system.xm, "P+": system.pp, "P-": system.pm}
 
     reports: list[OracleReport] = []
     for state in (BellState.PSI_PLUS, BellState.PSI_MINUS):
-        psi = fock.bell_vector(state, params, basis)
+        psi = fock.bell_vector(system, state)
+        image = {name: op @ psi for name, op in ops.items()}
+        image[""] = psi  # ("", A) is the first moment <A>
         sign = 1.0 if state is BellState.PSI_PLUS else -1.0
-        tag = _state_tag(state)
-        cases = [
-            ("<X+>", xp, 0.0),
-            ("<X->", xm, 0.0),
-            ("<P+>", pp, 0.0),
-            ("<P->", pm, 0.0),
-            ("<X+^2>", xp @ xp, 1.0 / wp),
-            ("<X-^2>", xm @ xm, 1.0 / wm),
-            ("<P+^2>", pp @ pp, wp),
-            ("<P-^2>", pm @ pm, wm),
-            ("<X+X->", xp @ xm, sign / (2.0 * math.sqrt(e) * w)),
-            ("<X-X+>", xm @ xp, sign / (2.0 * math.sqrt(e) * w)),
-            ("<X+P+>", xp @ pp, 0.5j),
-            ("<X-P->", xm @ pm, 0.5j),
-            ("<P+X+>", pp @ xp, -0.5j),
-            ("<P-X->", pm @ xm, -0.5j),
-            ("<P+P->", pp @ pm, sign * math.sqrt(e) * w / 2.0),
-            ("<P-P+>", pm @ pp, sign * math.sqrt(e) * w / 2.0),
-        ]
-        for name, matrix, expected in cases:
+        x_cross = sign / (2.0 * math.sqrt(e) * w)
+        p_cross = sign * math.sqrt(e) * w / 2.0
+        for a, b, expected in (
+            ("", "X+", 0.0), ("", "X-", 0.0), ("", "P+", 0.0), ("", "P-", 0.0),
+            ("X+", "X+", 1.0 / wp), ("X-", "X-", 1.0 / wm), ("P+", "P+", wp), ("P-", "P-", wm),
+            ("X+", "X-", x_cross), ("X-", "X+", x_cross),
+            ("X+", "P+", 0.5j), ("X-", "P-", 0.5j), ("P+", "X+", -0.5j), ("P-", "X-", -0.5j),
+            ("P+", "P-", p_cross), ("P-", "P+", p_cross),
+        ):
+            name = f"<{a}^2>" if a == b else f"<{a}{b}>"
+            value = np.vdot(image[a], image[b])
             reports.append(
-                OracleReport.compare(
-                    f"table[{tag}] {name}", expected, _expval(matrix, psi), tol
-                )
+                OracleReport.compare(f"table[{state.value}] {name}", expected, value, tol)
             )
     return reports
 
@@ -139,15 +123,15 @@ def cross_momentum_scaling_probe(
     <P+P-> on the entangled states equals +-sqrt(eta) omega / 2 and therefore
     grows linearly with omega.  A dimensionally X-like variant,
     +-sqrt(eta) / (2 omega), coincides with it at omega = 1, so the probe
-    doubles omega to separate the two.  Returns (accepted, rejected) reports;
-    the rejected one is a negative control and is expected to fail.
+    solves its own system at doubled omega to separate the two; it needs
+    nothing from the system at ``params``.  Returns (accepted, rejected)
+    reports; the rejected one is a negative control and is expected to fail.
     """
-    doubled = replace(params, omega=2.0 * params.omega)
-    e = eta(doubled)
-    w = doubled.omega
-    _, _, pp, pm = (op.matrix for op in fock.normal_mode_quadratures(doubled, basis))
-    psi = fock.bell_vector(BellState.PSI_PLUS, doubled, basis)
-    value = _expval(pp @ pm, psi)
+    doubled = fock.solve(replace(params, omega=2.0 * params.omega), basis)
+    e = eta(doubled.params)
+    w = doubled.params.omega
+    psi = fock.bell_vector(doubled, BellState.PSI_PLUS)
+    value = np.vdot(doubled.pp @ psi, doubled.pm @ psi)
     accepted = OracleReport.compare(
         f"<P+P-> momentum-type form sqrt(eta)*w/2 at w={w:g}",
         math.sqrt(e) * w / 2.0,
@@ -163,33 +147,34 @@ def cross_momentum_scaling_probe(
     return accepted, rejected
 
 
-def commutator_check(basis: TwoModeBasis) -> list[OracleReport]:
+def commutator_check(system: SolvedSystem) -> list[OracleReport]:
     """Verify canonical commutators away from the truncation corner.
 
     [x_i, p_j] = i delta_ij and [X_a, P_b] = i delta_ab on all basis states
     whose occupations are strictly below the cutoff (ladder truncation only
-    corrupts the top level of each mode).  Deviations are exact zeros up to
-    float rounding, so the tolerance is fixed at 1e-12.
+    corrupts the top level of each mode).  The commutators do not depend on
+    the frequency; deviations are exact zeros up to float rounding, so the
+    tolerance is fixed at 1e-12.  Every quadrature is Hermitian, so BA is
+    taken as (AB)^dag.
     """
-    params = SystemParams(omega=1.0)  # commutators are frequency independent
-    x1, x2, p1, p2 = (op.matrix for op in fock.bare_quadratures(params, basis))
-    xp, xm, pp, pm = (op.matrix for op in fock.normal_mode_quadratures(params, basis))
-    mask = basis.mask_below_cutoff(margin=1)
+    s = system
+    mask = s.basis.mask_below_cutoff(margin=1)
     idx = np.ix_(mask, mask)
-    eye = np.eye(basis.dim)[idx]
+    eye = np.eye(s.basis.dim)[idx]
 
     def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return (a @ b - b @ a)[idx]
+        ab = a @ b
+        return (ab - ab.conj().T)[idx]
 
     cases = [
-        ("[x1,p1]", x1, p1, 1.0),
-        ("[x2,p2]", x2, p2, 1.0),
-        ("[x1,p2]", x1, p2, 0.0),
-        ("[x2,p1]", x2, p1, 0.0),
-        ("[X+,P+]", xp, pp, 1.0),
-        ("[X-,P-]", xm, pm, 1.0),
-        ("[X+,P-]", xp, pm, 0.0),
-        ("[X-,P+]", xm, pp, 0.0),
+        ("[x1,p1]", s.x1, s.p1, 1.0),
+        ("[x2,p2]", s.x2, s.p2, 1.0),
+        ("[x1,p2]", s.x1, s.p2, 0.0),
+        ("[x2,p1]", s.x2, s.p1, 0.0),
+        ("[X+,P+]", s.xp, s.pp, 1.0),
+        ("[X-,P-]", s.xm, s.pm, 1.0),
+        ("[X+,P-]", s.xp, s.pm, 0.0),
+        ("[X-,P+]", s.xm, s.pp, 0.0),
     ]
     reports = []
     for name, a, b, delta in cases:
@@ -200,13 +185,14 @@ def commutator_check(basis: TwoModeBasis) -> list[OracleReport]:
     return reports
 
 
-def _evolution_operator(energies: np.ndarray, vectors: np.ndarray, t: float) -> np.ndarray:
-    return (vectors * np.exp(-1j * energies * t)) @ vectors.conj().T
+def _evolve(system: SolvedSystem, coeffs: np.ndarray, times) -> np.ndarray:
+    """exp(-i H t) applied to states given by their eigenbasis coefficients (rows)."""
+    phases = np.exp(-1j * np.multiply.outer(system.energies, times))
+    return system.vectors @ (phases * coeffs)
 
 
 def heisenberg_evolution_check(
-    params: SystemParams,
-    basis: TwoModeBasis,
+    system: SolvedSystem,
     t: float,
     tol: float,
     canonical_momentum: bool = True,
@@ -217,24 +203,20 @@ def heisenberg_evolution_check(
     ``canonical_momentum`` the momentum law is P(t) = P cos(wt) - w X sin(wt);
     the non-canonical variant replaces X by P in the sine term, violates
     Hamilton's equations, and serves as a negative control.  Deviations are
-    measured entrywise on basis states with total occupation <= 2.
+    measured entrywise on basis states with total occupation <= 2, so only
+    those columns of U(t) are formed: in the eigenbasis U(t) is the
+    elementwise phase exp(-i E t), and <m| U^dag Y U |n> = (U|m>)^dag Y (U|n>).
     """
-    energies, vectors = fock.hamiltonian_eigensystem(params, basis)
-    u = _evolution_operator(energies, vectors, t)
-    xp, xm, pp, pm = (op.matrix for op in fock.normal_mode_quadratures(params, basis))
-    mask = basis.mask_total_at_most(2)
-    idx = np.ix_(mask, mask)
+    mask = system.basis.mask_total_at_most(2)
+    u_cols = _evolve(system, system.vectors[mask].T, (t,))  # U(t)|n> for the masked n
+    sub = np.ix_(mask, mask)
     dev = 0.0
-    for x, p, mode in ((xp, pp, ModeIndex.PLUS), (xm, pm, ModeIndex.MINUS)):
-        w = mode_frequency(params, mode)
+    for x, p, w in system.normal_modes():
         c, s = math.cos(w * t), math.sin(w * t)
-        x_heis = u.conj().T @ x @ u
-        p_heis = u.conj().T @ p @ u
-        x_closed = x * c + p * (s / w)
         sine_op = x if canonical_momentum else p
-        p_closed = p * c - w * sine_op * s
-        dev = max(dev, float(np.max(np.abs((x_heis - x_closed)[idx]))))
-        dev = max(dev, float(np.max(np.abs((p_heis - p_closed)[idx]))))
+        for op, closed in ((x, x * c + p * (s / w)), (p, p * c - w * sine_op * s)):
+            heis = u_cols.conj().T @ (op @ u_cols)
+            dev = max(dev, float(np.max(np.abs(heis - closed[sub]))))
     form = "canonical" if canonical_momentum else "non-canonical"
     return OracleReport.compare(
         f"evolution[{form}] max dev (n1+n2<=2) at t={t:g}", 0.0, dev, tol
@@ -242,18 +224,18 @@ def heisenberg_evolution_check(
 
 
 def evolve_expectations(
-    params: SystemParams,
+    system: SolvedSystem,
     state: BellState,
-    basis: TwoModeBasis,
     times: np.ndarray,
 ) -> FluctuationTrace:
     """Schrodinger-evolve the entangled state and collect normalized std devs.
 
-    |psi(t)> = exp(-i H t) |psi>, computed through the Hermitian
-    eigendecomposition of H, all times at once.  The returned columns are the
-    standard deviations of the bare coordinates and momenta on the evolved
-    state, divided by the single-oscillator ground-state values; none of the
-    closed-form amplitude results enter.
+    |psi(t)> = exp(-i H t) |psi>, computed through the eigendecomposition of
+    H, all times at once.  First moments are <psi(t)|A|psi(t)> and second
+    moments ||A psi(t)||^2.  The returned columns are the standard deviations
+    of the bare coordinates and momenta on the evolved state, divided by the
+    single-oscillator ground-state values; none of the closed-form amplitude
+    results enter.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1:
@@ -261,24 +243,21 @@ def evolve_expectations(
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
 
-    energies, vectors = fock.hamiltonian_eigensystem(params, basis)
-    psi0 = fock.bell_vector(state, params, basis)
-    coeffs = vectors.conj().T @ psi0
-    phases = np.exp(-1j * np.outer(energies, times))
-    evolved = vectors @ (phases * coeffs[:, None])  # (dim, n_times)
-
-    x1, x2, p1, p2 = (op.matrix for op in fock.bare_quadratures(params, basis))
-    w = params.omega
+    psi0 = fock.bell_vector(system, state)
+    coeffs = system.vectors.T @ psi0  # the eigenvectors are real
+    evolved = _evolve(system, coeffs[:, None], times)  # (dim, n_times)
+    w = system.params.omega
 
     def normalized_std(op: np.ndarray, norm_sq: float) -> np.ndarray:
-        first = np.einsum("it,it->t", evolved.conj(), op @ evolved).real
-        second = np.einsum("it,it->t", evolved.conj(), (op @ op) @ evolved).real
+        image = op @ evolved
+        first = np.einsum("it,it->t", evolved.conj(), image).real
+        second = np.einsum("it,it->t", image.conj(), image).real
         return np.sqrt(np.maximum(second - first**2, 0.0) * norm_sq)
 
-    dx1 = normalized_std(x1, 2.0 * w)
-    dx2 = normalized_std(x2, 2.0 * w)
-    dp1 = normalized_std(p1, 2.0 / w)
-    dp2 = normalized_std(p2, 2.0 / w)
+    dx1 = normalized_std(system.x1, 2.0 * w)
+    dx2 = normalized_std(system.x2, 2.0 * w)
+    dp1 = normalized_std(system.p1, 2.0 / w)
+    dp2 = normalized_std(system.p2, 2.0 / w)
     return FluctuationTrace(
         times=times,
         dx1=dx1,

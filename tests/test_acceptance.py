@@ -22,7 +22,7 @@ from bellosc.analytic import (
     uncertainty_product,
     uncertainty_sum,
 )
-from bellosc.fock import TwoModeBasis
+from bellosc.fock import TwoModeBasis, solve
 from bellosc.model import BellState, OscillatorIndex, SystemParams, beat_frequency, eta
 from bellosc.oracle import (
     cross_momentum_scaling_probe,
@@ -54,7 +54,7 @@ def test_criterion_01_matrix_element_reproduction():
     start = time.perf_counter()
     worst = {}
     for g in TABLE_COUPLINGS:
-        reports = table1_check(SystemParams(1.0, g), basis, 1e-8)
+        reports = table1_check(solve(SystemParams(1.0, g), basis), 1e-8)
         worst[g] = max(r.abs_diff for r in reports)
     elapsed = time.perf_counter() - start
     accepted, rejected = cross_momentum_scaling_probe(SystemParams(1.0, 0.8), basis, 1e-8)
@@ -77,8 +77,9 @@ def test_criterion_02_closed_form_vs_oracle_traces():
         params = SystemParams(1.0, g)
         t_end = _beat_window(g, 2.0)
         times = np.linspace(0.0, t_end, 200)
+        system = solve(params, basis)
         for state in STATES:
-            evolved = evolve_expectations(params, state, basis, times)
+            evolved = evolve_expectations(system, state, times)
             closed = trace(params, state, 0.0, t_end, 200)
             worst[(g, state.value)] = max(
                 float(np.max(np.abs(getattr(evolved, col) - getattr(closed, col))))
@@ -241,8 +242,9 @@ def test_criterion_09_coordinate_noise_decreases_with_coupling():
 def test_criterion_10_momentum_evolution_adjudication(capsys):
     params = SystemParams(1.0, 0.5)
     basis = TwoModeBasis(12)
-    good = heisenberg_evolution_check(params, basis, 1.0, 1e-8, canonical_momentum=True)
-    bad = heisenberg_evolution_check(params, basis, 1.0, 1e-8, canonical_momentum=False)
+    system = solve(params, basis)
+    good = heisenberg_evolution_check(system, 1.0, 1e-8, canonical_momentum=True)
+    bad = heisenberg_evolution_check(system, 1.0, 1e-8, canonical_momentum=False)
 
     code = cli.main(["verify"])
     out = capsys.readouterr().out
@@ -284,16 +286,22 @@ def test_criterion_12_cutoff_convergence():
     drifts = {}
     for g in TABLE_COUPLINGS:
         params = SystemParams(1.0, g)
-        small = {r.label: r.oracle_value for r in table1_check(params, TwoModeBasis(8), 1e-8)}
-        large = {r.label: r.oracle_value for r in table1_check(params, TwoModeBasis(16), 1e-8)}
+        small = {
+            r.label: r.oracle_value for r in table1_check(solve(params, TwoModeBasis(8)), 1e-8)
+        }
+        large = {
+            r.label: r.oracle_value for r in table1_check(solve(params, TwoModeBasis(16)), 1e-8)
+        }
         drifts[f"table g={g}"] = max(abs(small[k] - large[k]) for k in small)
     for g in TRACE_COUPLINGS:
         params = SystemParams(1.0, g)
         t_end = _beat_window(g, 2.0)
         times = np.linspace(0.0, t_end, 200)
+        small_system = solve(params, TwoModeBasis(8))
+        large_system = solve(params, TwoModeBasis(16))
         for state in STATES:
-            small = evolve_expectations(params, state, TwoModeBasis(8), times)
-            large = evolve_expectations(params, state, TwoModeBasis(16), times)
+            small = evolve_expectations(small_system, state, times)
+            large = evolve_expectations(large_system, state, times)
             drifts[f"trace g={g} {state.value}"] = max(
                 float(np.max(np.abs(getattr(small, col) - getattr(large, col))))
                 for col in ("dx1", "dx2", "dp1", "dp2")

@@ -191,6 +191,12 @@ class TestPeriodStatistics:
         assert stats.min_product >= 1.0
         assert stats.fraction_below_nc == 0.0  # baseline 1 is the floor
 
+    @pytest.mark.parametrize("osc", [OSC1, OSC2])
+    def test_mean_of_equal_products_stays_within_them(self, osc):
+        # at g = 1e150 all 4096 products are equal and np.mean rounds below them
+        stats = period_statistics(SystemParams(1.0, 1e150), PSI_P, osc, 4096)
+        assert stats.min_product <= stats.mean_product <= stats.max_product
+
     @given(g=st.floats(min_value=0.01, max_value=2.0), state=states_st, osc=osc_st)
     @settings(max_examples=25)
     def test_invariants(self, g, state, osc):

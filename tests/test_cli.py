@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from bellosc import analytic
-from bellosc.cli import _BLOCK_ROWS, _write_csv, _write_json, main, read_columns
+from bellosc.cli import _BLOCK_ROWS, _write_csv, _write_json, main
 from bellosc.model import BellState, OscillatorIndex, SystemParams
 from bellosc.sampler import RealizationConfig, sample_realization
 
@@ -26,6 +26,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def read_columns(path) -> dict[str, np.ndarray]:
+    """Load a CSV written by the tool back into named float columns."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = [[float(cell) for cell in row] for row in reader]
+    data = np.asarray(rows, dtype=float)
+    return {name: data[:, i] for i, name in enumerate(header)}
 
 
 def one_error_line(err):
@@ -116,7 +126,7 @@ class TestTrace:
             assert np.array_equal(cols[name], rounded)
 
     def test_output_agrees_with_oracle_path(self, tmp_path, capsys):
-        from bellosc.fock import TwoModeBasis
+        from bellosc.fock import TwoModeBasis, solve
         from bellosc.oracle import evolve_expectations
 
         out_file = tmp_path / "trace.csv"
@@ -127,7 +137,7 @@ class TestTrace:
         assert code == 0
         cols = read_columns(out_file)
         evolved = evolve_expectations(
-            SystemParams(1.0, 0.8), PSI_P, TwoModeBasis(12), cols["t"]
+            solve(SystemParams(1.0, 0.8), TwoModeBasis(12)), PSI_P, cols["t"]
         )
         for name in ("dx1", "dx2", "dp1", "dp2"):
             assert np.max(np.abs(cols[name] - getattr(evolved, name))) < 1e-6
@@ -185,6 +195,16 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--couplings", "0.2,1e200")
         assert code == 2
         assert one_error_line(err) and "1e+200" in err
+
+    def test_huge_coupling_mean_stays_within_min_and_max(self, capsys):
+        # every product rounds to the same value there, and np.mean of them
+        # rounds below it
+        code, out, err = run(capsys, "sweep", "--couplings", "1e150")
+        assert code == 0 and err == ""
+        row = dict(zip(SWEEP_HEADER.split(","), map(float, out.splitlines()[1].split(","))))
+        for pair in ("1", "2"):
+            low, mean, high = (row[f"{k}_up{pair}"] for k in ("min", "mean", "max"))
+            assert low <= mean <= high
 
     def test_rejects_empty_list(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -282,6 +302,18 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert one_error_line(err) and "tolerance" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("--steps", "10000000"), ("--cutoff", "40", "--steps", "6000")],
+        ids=["steps-at-default-cutoff", "cutoff-40"],
+    )
+    def test_evolution_grid_above_guard_is_config_error(self, argv, capsys):
+        # (cutoff + 1)^2 * steps evolved amplitudes: 1.7e9 and 1.0e7; only rejected
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert one_error_line(err) and "--steps" in err and "--cutoff" in err
 
     def test_unreachable_tolerance_fails_with_diff_reported(self, capsys):
         code, out, _ = run(capsys, "verify", "--cutoff", "8", "--tolerance", "1e-30")
@@ -383,6 +415,21 @@ class TestExitCodes:
         code, _, err = run(capsys, *argv)
         assert code == 0
         assert err == ""
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (("verify", "--omega", "1e10", "--coupling", "1e150"), "coupling_ratio * omega"),
+            (("verify", "--omega", "1e-200"), "omega 1e-200"),
+            (("trace", "--omega", "1e300", "--coupling", "1e10"), "omega 1e+300"),
+        ],
+        ids=["verify-coupling-times-omega-overflows", "verify-tiny-omega", "trace-huge-omega"],
+    )
+    def test_out_of_range_frequencies_are_config_errors(self, argv, named, capsys):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert one_error_line(err) and named in err
 
     def test_missing_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

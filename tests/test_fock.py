@@ -5,22 +5,41 @@ import math
 import numpy as np
 import pytest
 
-from bellosc import fock
 from bellosc.fock import (
     ConvergenceError,
     OperatorMatrix,
     TwoModeBasis,
-    bare_quadratures,
     bell_vector,
-    coupled_hamiltonian,
-    coupled_hamiltonian_shifted_form,
-    ground_state,
     ladder_matrices,
-    normal_mode_ladders,
-    normal_mode_quadratures,
     quadrature_matrices,
+    solve,
 )
 from bellosc.model import BellState, SystemParams, eta
+
+
+def normal_mode_ladders(system):
+    """(A+, A+^dag, A-, A-^dag) with A = sqrt(w/2) (X + i P / w) at each mode's frequency."""
+    out = []
+    for x, p, w in system.normal_modes():
+        a = np.sqrt(w / 2.0) * (x + 1j * p / w)
+        out += [a, a.conj().T]
+    return out
+
+
+def shifted_form_hamiltonian(system):
+    """(p1^2 + p2^2 + w'^2 (x1^2 + x2^2) - 2 W^2 x1 x2) / 2 with w'^2 = w^2 + W^2.
+
+    The same Hamiltonian with the coupling written as a frequency shift and a
+    position-position term, assembled from dense products of the lifted
+    quadratures.
+    """
+    s, params = system, system.params
+    big_omega2 = (params.coupling_ratio * params.omega) ** 2
+    wprime2 = params.omega**2 + big_omega2
+    return 0.5 * (
+        s.p1 @ s.p1 + s.p2 @ s.p2 + wprime2 * (s.x1 @ s.x1 + s.x2 @ s.x2)
+        - 2.0 * big_omega2 * (s.x1 @ s.x2)
+    )
 
 
 class TestOperatorMatrix:
@@ -32,28 +51,27 @@ class TestOperatorMatrix:
         with pytest.raises(ValueError, match=">= 2"):
             OperatorMatrix(np.zeros((1, 1)))
 
-    def test_rejects_false_hermitian_hint(self):
+    def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="hermitian"):
-            OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), hermitian_hint=True)
+            OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_matrix_is_frozen(self):
         op = OperatorMatrix(np.eye(2))
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 5.0
 
-    def test_expectation_and_dagger(self):
+    def test_number_expectation_and_conjugate_pair(self):
         low, raise_ = ladder_matrices(3)
         vec = np.zeros(4, dtype=complex)
         vec[1] = 1.0
-        number = OperatorMatrix(raise_.matrix @ low.matrix, hermitian_hint=True)
-        assert number.expectation(vec) == pytest.approx(1.0)
-        assert np.array_equal(low.dagger().matrix, raise_.matrix)
+        assert np.vdot(vec, raise_ @ low @ vec) == pytest.approx(1.0)
+        assert np.array_equal(low.conj().T, raise_)
 
 
 class TestLadderMatrices:
     def test_two_level_truncation(self):
         low, _ = ladder_matrices(1)
-        assert np.array_equal(low.matrix, np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert np.array_equal(low, np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_rejects_zero_cutoff(self):
         with pytest.raises(ValueError):
@@ -62,7 +80,7 @@ class TestLadderMatrices:
     def test_commutator_identity_except_corner(self):
         cutoff = 7
         low, raise_ = ladder_matrices(cutoff)
-        comm = low.matrix @ raise_.matrix - raise_.matrix @ low.matrix
+        comm = low @ raise_ - raise_ @ low
         expected = np.eye(cutoff + 1, dtype=complex)
         expected[-1, -1] = -cutoff
         assert np.allclose(comm, expected, atol=1e-13)
@@ -72,14 +90,14 @@ class TestQuadratureMatrices:
     @pytest.mark.parametrize("w", [0.5, 1.0, 3.0])
     def test_ground_and_excited_variances(self, w):
         x, _ = quadrature_matrices(6, w)
-        x2 = x.matrix @ x.matrix
+        x2 = x @ x
         assert x2[0, 0].real == pytest.approx(1.0 / (2 * w), abs=1e-14)
         assert x2[1, 1].real == pytest.approx(3.0 / (2 * w), abs=1e-14)
 
     def test_canonical_commutator_below_cutoff(self):
         cutoff = 6
         x, p = quadrature_matrices(cutoff, 1.3)
-        comm = x.matrix @ p.matrix - p.matrix @ x.matrix
+        comm = x @ p - p @ x
         sub = comm[:cutoff, :cutoff]
         assert np.allclose(sub, 1j * np.eye(cutoff), atol=1e-13)
 
@@ -111,30 +129,52 @@ class TestTwoModeBasis:
         assert np.all((n1[basis.mask_below_cutoff()] <= 2) & (n2[basis.mask_below_cutoff()] <= 2))
 
 
+class TestSolvedSystem:
+    def test_arrays_are_read_only(self):
+        system = solve(SystemParams(1.0, 0.5), TwoModeBasis(4))
+        for name in (
+            "x1", "x2", "p1", "p2", "xp", "xm", "pp", "pm", "h", "energies", "vectors", "ground",
+        ):
+            with pytest.raises(ValueError):
+                getattr(system, name)[0] = 1.0
+
+    def test_hamiltonian_is_real_symmetric(self):
+        h = solve(SystemParams(1.0, 0.8), TwoModeBasis(6)).h
+        assert h.dtype == np.float64
+        assert np.array_equal(h, h.T)
+
+    def test_normal_modes_pair_quadratures_with_model_frequencies(self):
+        params = SystemParams(2.0, 0.8)
+        system = solve(params, TwoModeBasis(4))
+        (xp, pp, wp), (xm, pm, wm) = system.normal_modes()
+        assert xp is system.xp and pp is system.pp and xm is system.xm and pm is system.pm
+        assert (wp, wm) == (2.0, 2.0 * eta(params))
+
+    def test_ground_state_is_lowest_eigenvector(self):
+        system = solve(SystemParams(1.0, 0.8), TwoModeBasis(8))
+        h, gs = system.h, system.ground
+        assert np.max(np.abs(h @ gs - system.energies[0] * gs)) < 1e-12
+
+
 class TestCoupledHamiltonian:
     def test_uncoupled_ground_energy(self):
-        energy, _ = ground_state(SystemParams(1.0, 0.0), TwoModeBasis(8))
+        energy = solve(SystemParams(1.0, 0.0), TwoModeBasis(8)).energies[0]
         assert energy == pytest.approx(1.0, abs=1e-12)  # two zero-point halves
 
     def test_excitation_gaps_match_mode_frequencies(self):
         params = SystemParams(1.0, 0.8)
-        energies, _ = fock.hamiltonian_eigensystem(params, TwoModeBasis(12))
+        energies = solve(params, TwoModeBasis(12)).energies
         assert energies[1] - energies[0] == pytest.approx(1.0, abs=1e-9)
         assert energies[2] - energies[0] == pytest.approx(eta(params), abs=1e-9)
 
     @pytest.mark.parametrize("g", [0.0, 0.5, 1.2])
     def test_two_assemblies_agree_entrywise(self, g):
-        params = SystemParams(1.0, g)
-        basis = TwoModeBasis(6)
-        h1 = coupled_hamiltonian(params, basis).matrix
-        h2 = coupled_hamiltonian_shifted_form(params, basis).matrix
-        assert np.max(np.abs(h1 - h2)) < 1e-12
+        system = solve(SystemParams(1.0, g), TwoModeBasis(6))
+        assert np.max(np.abs(system.h - shifted_form_hamiltonian(system))) < 1e-12
 
     def test_eigendecomposition_round_trip(self):
-        params = SystemParams(1.0, 0.8)
-        basis = TwoModeBasis(10)
-        h = coupled_hamiltonian(params, basis).matrix
-        energies, vectors = fock.hamiltonian_eigensystem(params, basis)
+        system = solve(SystemParams(1.0, 0.8), TwoModeBasis(10))
+        h, energies, vectors = system.h, system.energies, system.vectors
         rebuilt = (vectors * energies) @ vectors.conj().T
         assert np.max(np.abs(rebuilt - h)) < 1e-10 * np.max(np.abs(h))
 
@@ -143,41 +183,39 @@ class TestNormalModeLadders:
     def test_ground_state_is_annihilated(self):
         # <g| A^dag A |g> vanishes up to truncation noise
         for g, cutoff, bound in ((0.5, 12, 1e-8), (0.8, 12, 1e-8), (1.5, 16, 1e-8)):
-            params = SystemParams(1.0, g)
-            basis = TwoModeBasis(cutoff)
-            _, gs = ground_state(params, basis)
-            a_plus, _, a_minus, _ = normal_mode_ladders(params, basis)
-            for a in (a_plus.matrix, a_minus.matrix):
+            system = solve(SystemParams(1.0, g), TwoModeBasis(cutoff))
+            gs = system.ground
+            a_plus, _, a_minus, _ = normal_mode_ladders(system)
+            for a in (a_plus, a_minus):
                 residual = np.vdot(gs, a.conj().T @ (a @ gs)).real
                 assert residual <= bound
 
     def test_uncoupled_limit_reduces_to_bare_combination(self):
-        params = SystemParams(1.0, 0.0)
         basis = TwoModeBasis(5)
         low, _ = ladder_matrices(basis.cutoff)
         eye = np.eye(basis.levels)
-        a1 = np.kron(low.matrix, eye)
-        a2 = np.kron(eye, low.matrix)
-        a_plus, _, a_minus, _ = normal_mode_ladders(params, basis)
-        assert np.max(np.abs(a_plus.matrix - (a1 + a2) / math.sqrt(2))) < 1e-12
-        assert np.max(np.abs(a_minus.matrix - (a1 - a2) / math.sqrt(2))) < 1e-12
+        a1 = np.kron(low, eye)
+        a2 = np.kron(eye, low)
+        a_plus, _, a_minus, _ = normal_mode_ladders(solve(SystemParams(1.0, 0.0), basis))
+        assert np.max(np.abs(a_plus - (a1 + a2) / math.sqrt(2))) < 1e-12
+        assert np.max(np.abs(a_minus - (a1 - a2) / math.sqrt(2))) < 1e-12
 
     def test_cross_mode_commutator_vanishes_low_lying(self):
-        params = SystemParams(1.0, 0.8)
         basis = TwoModeBasis(12)
-        a_plus, _, _, am_dag = normal_mode_ladders(params, basis)
-        comm = a_plus.matrix @ am_dag.matrix - am_dag.matrix @ a_plus.matrix
+        a_plus, _, _, am_dag = normal_mode_ladders(solve(SystemParams(1.0, 0.8), basis))
+        comm = a_plus @ am_dag - am_dag @ a_plus
         mask = basis.mask_total_at_most(2)
         assert np.max(np.abs(comm[np.ix_(mask, mask)])) < 1e-10
 
     def test_ladders_shift_energy_by_mode_frequency(self):
         params = SystemParams(1.0, 0.8)
         basis = TwoModeBasis(12)
-        h = coupled_hamiltonian(params, basis).matrix
-        _, ap_dag, _, am_dag = normal_mode_ladders(params, basis)
+        system = solve(params, basis)
+        h = system.h
+        _, ap_dag, _, am_dag = normal_mode_ladders(system)
         mask = basis.mask_total_at_most(2)
         idx = np.ix_(mask, mask)
-        for a_dag, w in ((ap_dag.matrix, 1.0), (am_dag.matrix, eta(params))):
+        for a_dag, w in ((ap_dag, 1.0), (am_dag, eta(params))):
             residual = h @ a_dag - a_dag @ h - w * a_dag
             assert np.max(np.abs(residual[idx])) < 1e-9
 
@@ -185,51 +223,54 @@ class TestNormalModeLadders:
 class TestBellVector:
     @pytest.mark.parametrize("state", list(BellState))
     def test_unit_norm(self, state):
-        vec = bell_vector(state, SystemParams(1.0, 0.8), TwoModeBasis(12))
+        vec = bell_vector(solve(SystemParams(1.0, 0.8), TwoModeBasis(12)), state)
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
 
     def test_raw_construction_is_normalized_at_supported_cutoffs(self):
-        params = SystemParams(1.0, 0.8)
-        basis = TwoModeBasis(12)
-        _, gs = ground_state(params, basis)
-        _, ap_dag, _, am_dag = normal_mode_ladders(params, basis)
-        raw = (am_dag.matrix @ gs + ap_dag.matrix @ gs) / math.sqrt(2)
+        system = solve(SystemParams(1.0, 0.8), TwoModeBasis(12))
+        gs = system.ground
+        _, ap_dag, _, am_dag = normal_mode_ladders(system)
+        raw = (am_dag @ gs + ap_dag @ gs) / math.sqrt(2)
         assert abs(np.linalg.norm(raw) - 1.0) < 1e-10
+
+    def test_matches_dense_ladder_construction(self):
+        system = solve(SystemParams(1.0, 0.8), TwoModeBasis(12))
+        _, ap_dag, _, am_dag = normal_mode_ladders(system)
+        for state, sign in ((BellState.PSI_PLUS, 1.0), (BellState.PSI_MINUS, -1.0)):
+            raw = am_dag @ system.ground + sign * (ap_dag @ system.ground)
+            dense = raw / np.linalg.norm(raw)
+            assert np.max(np.abs(bell_vector(system, state) - dense)) < 1e-13
 
     def test_uncoupled_limit_localizes_the_excitation(self):
         # at g = 0 the +/- combinations collapse onto bare |1,0> and |0,1>
-        params = SystemParams(1.0, 0.0)
         basis = TwoModeBasis(6)
-        plus = bell_vector(BellState.PSI_PLUS, params, basis)
-        minus = bell_vector(BellState.PSI_MINUS, params, basis)
+        system = solve(SystemParams(1.0, 0.0), basis)
+        plus = bell_vector(system, BellState.PSI_PLUS)
+        minus = bell_vector(system, BellState.PSI_MINUS)
         assert abs(plus[basis.index(1, 0)]) == pytest.approx(1.0, abs=1e-12)
         assert abs(minus[basis.index(0, 1)]) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("g", [0.0, 0.5, 0.8])
     def test_excitation_energy_is_mean_mode_quantum(self, g):
         params = SystemParams(1.0, g)
-        basis = TwoModeBasis(12)
-        h = coupled_hamiltonian(params, basis).matrix
-        energy, _ = ground_state(params, basis)
-        vec = bell_vector(BellState.PSI_PLUS, params, basis)
-        excitation = np.vdot(vec, h @ vec).real - energy
+        system = solve(params, TwoModeBasis(12))
+        vec = bell_vector(system, BellState.PSI_PLUS)
+        excitation = np.vdot(vec, system.h @ vec).real - system.energies[0]
         assert excitation == pytest.approx((1.0 + eta(params)) / 2.0, abs=1e-8)
 
     def test_signals_unconverged_basis(self):
         with pytest.raises(ConvergenceError, match="cutoff"):
-            bell_vector(BellState.PSI_PLUS, SystemParams(1.0, 3.0), TwoModeBasis(3))
+            bell_vector(solve(SystemParams(1.0, 3.0), TwoModeBasis(3)), BellState.PSI_PLUS)
 
 
 def test_bare_quadratures_commute_across_oscillators():
-    params = SystemParams(1.0, 0.7)
-    basis = TwoModeBasis(5)
-    x1, x2, p1, p2 = (op.matrix for op in bare_quadratures(params, basis))
-    assert np.max(np.abs(x1 @ p2 - p2 @ x1)) == 0.0
-    assert np.max(np.abs(x1 @ x2 - x2 @ x1)) == 0.0
+    s = solve(SystemParams(1.0, 0.7), TwoModeBasis(5))
+    assert np.max(np.abs(s.x1 @ s.p2 - s.p2 @ s.x1)) == 0.0
+    assert np.max(np.abs(s.x1 @ s.x2 - s.x2 @ s.x1)) == 0.0
 
 
 def test_normal_mode_quadratures_are_hermitian():
-    params = SystemParams(1.0, 0.7)
-    for op in normal_mode_quadratures(params, TwoModeBasis(4)):
-        assert op.hermitian_hint
-        assert np.max(np.abs(op.matrix - op.matrix.conj().T)) < 1e-12
+    s = solve(SystemParams(1.0, 0.7), TwoModeBasis(4))
+    for op in (s.xp, s.xm, s.pp, s.pm):
+        assert not op.flags.writeable
+        assert np.max(np.abs(op - op.conj().T)) < 1e-12

@@ -1,6 +1,8 @@
 """Frequency-ratio and mode-frequency contracts, pinned against the matrix oracle."""
 
 import math
+import re
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +12,7 @@ from bellosc.model import (
     ModeIndex,
     SystemParams,
     beat_frequency,
+    default_t_max,
     eta,
     mode_frequency,
 )
@@ -20,7 +23,7 @@ omegas = st.floats(min_value=0.1, max_value=10.0, allow_nan=False)
 
 def oracle_gaps(params, cutoff=12):
     """Two lowest excitation energies from exact diagonalization."""
-    energies, _ = fock.hamiltonian_eigensystem(params, fock.TwoModeBasis(cutoff))
+    energies = fock.solve(params, fock.TwoModeBasis(cutoff)).energies
     return energies[1] - energies[0], energies[2] - energies[0]
 
 
@@ -38,6 +41,29 @@ class TestSystemParams:
     def test_rejects_bad_coupling(self, g):
         with pytest.raises(ValueError):
             SystemParams(coupling_ratio=g)
+
+
+    @pytest.mark.parametrize(
+        "omega, g, named",
+        [
+            (1e200, 0.0, "omega 1e+200 is too large"),
+            (1e-200, 0.5, "omega 1e-200 is too small"),
+            (1e10, 1e150, "(coupling_ratio * omega)^2"),
+            (1.3e154, 0.5, "(eta * omega)^2"),
+        ],
+    )
+    def test_rejects_frequencies_whose_squares_leave_the_float_range(self, omega, g, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            SystemParams(omega=omega, coupling_ratio=g)
+
+    @pytest.mark.parametrize(
+        "omega, g",
+        [(1.5e-154, 0.0), (1.5e-154, 1.4e-8), (1.5e-154, 2.0), (1.3e154, 0.0), (1.0, 1e150)],
+    )
+    def test_accepted_extremes_keep_default_t_max_normal(self, omega, g):
+        # 1.4e-8 is near the smallest g with eta > 1, the slowest envelope
+        t_max = default_t_max(SystemParams(omega=omega, coupling_ratio=g))
+        assert math.isfinite(t_max) and t_max >= sys.float_info.min
 
 
 class TestEta:

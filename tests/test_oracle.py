@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bellosc import analytic, fock
-from bellosc.fock import TwoModeBasis
+from bellosc.fock import TwoModeBasis, solve
 from bellosc.model import (
     BellState,
     ModeIndex,
@@ -51,19 +51,19 @@ class TestOracleReport:
 class TestTable1:
     @pytest.mark.parametrize("g", [0.2, 0.5, 0.8])
     def test_all_families_pass_at_default_cutoff(self, g):
-        reports = table1_check(SystemParams(1.0, g), TwoModeBasis(12), 1e-8)
+        reports = table1_check(solve(SystemParams(1.0, g), TwoModeBasis(12)), 1e-8)
         assert len(reports) == 32
         failed = [r.label for r in reports if not r.passed]
         assert not failed, failed
 
     @pytest.mark.parametrize("omega", [0.5, 2.0])
     def test_omega_scaling_of_all_families(self, omega):
-        reports = table1_check(SystemParams(omega, 0.5), TwoModeBasis(12), 1e-8)
+        reports = table1_check(solve(SystemParams(omega, 0.5), TwoModeBasis(12)), 1e-8)
         assert all(r.passed for r in reports)
 
     def test_diagonal_second_moments(self):
         params = SystemParams(1.0, 0.8)
-        reports = table1_check(params, TwoModeBasis(12), 1e-8)
+        reports = table1_check(solve(params, TwoModeBasis(12)), 1e-8)
         for label, expected in (
             ("<X+^2>", 1.0 / mode_frequency(params, ModeIndex.PLUS)),
             ("<X-^2>", 1.0 / mode_frequency(params, ModeIndex.MINUS)),
@@ -74,12 +74,12 @@ class TestTable1:
                 assert rep.passed
 
     def test_cross_momentum_value(self):
-        reports = table1_check(SystemParams(1.0, 0.8), TwoModeBasis(12), 1e-8)
+        reports = table1_check(solve(SystemParams(1.0, 0.8), TwoModeBasis(12)), 1e-8)
         plus_reports = [r for r in report_by_label(reports, "<P+P->") if "psi-plus" in r.label]
         assert plus_reports[0].oracle_value.real == pytest.approx(P_CROSS_08, abs=1e-9)
 
     def test_state_sign_flips_cross_correlations(self):
-        reports = table1_check(SystemParams(1.0, 0.5), TwoModeBasis(12), 1e-8)
+        reports = table1_check(solve(SystemParams(1.0, 0.5), TwoModeBasis(12)), 1e-8)
         values = {
             r.label: r.oracle_value.real for r in reports if "<X+X->" in r.label
         }
@@ -90,7 +90,7 @@ class TestTable1:
 
     def test_rejects_small_cutoff(self):
         with pytest.raises(ValueError, match="cutoff"):
-            table1_check(SystemParams(1.0, 0.5), TwoModeBasis(5), 1e-8)
+            table1_check(solve(SystemParams(1.0, 0.5), TwoModeBasis(5)), 1e-8)
 
 
 class TestCrossMomentumScaling:
@@ -105,47 +105,73 @@ class TestCrossMomentumScaling:
 
 class TestCommutators:
     def test_all_pass(self):
-        reports = commutator_check(TwoModeBasis(8))
+        reports = commutator_check(solve(SystemParams(1.0), TwoModeBasis(8)))
         assert len(reports) == 8
         assert all(r.passed for r in reports)
 
+    @pytest.mark.parametrize("omega", [0.3, 5.0])
+    def test_pass_at_any_frequency(self, omega):
+        reports = commutator_check(solve(SystemParams(omega, 0.8), TwoModeBasis(8)))
+        assert all(r.passed for r in reports)
+
     def test_cross_oscillator_commutator_is_exactly_zero(self):
-        reports = commutator_check(TwoModeBasis(8))
+        reports = commutator_check(solve(SystemParams(1.0), TwoModeBasis(8)))
         cross = report_by_label(reports, "[x1,p2]")[0]
         assert cross.oracle_value == 0.0
 
 
 class TestHeisenbergEvolution:
     def test_identity_at_time_zero(self):
-        report = heisenberg_evolution_check(SystemParams(1.0, 0.5), TwoModeBasis(8), 0.0, 1e-12)
+        system = solve(SystemParams(1.0, 0.5), TwoModeBasis(8))
+        report = heisenberg_evolution_check(system, 0.0, 1e-12)
         assert report.abs_diff < 1e-13
 
     def test_canonical_form_passes(self):
-        report = heisenberg_evolution_check(SystemParams(1.0, 0.5), TwoModeBasis(12), 1.0, 1e-8)
+        system = solve(SystemParams(1.0, 0.5), TwoModeBasis(12))
+        report = heisenberg_evolution_check(system, 1.0, 1e-8)
         assert report.passed, report.line()
 
     def test_noncanonical_variant_fails_at_order_one(self):
         report = heisenberg_evolution_check(
-            SystemParams(1.0, 0.5), TwoModeBasis(12), 1.0, 1e-8, canonical_momentum=False
+            solve(SystemParams(1.0, 0.5), TwoModeBasis(12)), 1.0, 1e-8, canonical_momentum=False
         )
         assert not report.passed
         assert report.abs_diff > 0.1
+
+    @pytest.mark.parametrize("canonical", [True, False])
+    def test_matches_dense_operator_conjugation(self, canonical):
+        # the check forms only the n1+n2<=2 columns of U(t); conjugating whole
+        # matrices must give the same deviation
+        basis, t = TwoModeBasis(10), 0.9
+        system = solve(SystemParams(1.0, 0.8), basis)
+        report = heisenberg_evolution_check(system, t, 1e-8, canonical_momentum=canonical)
+        u = (system.vectors * np.exp(-1j * system.energies * t)) @ system.vectors.T
+        idx = np.ix_(basis.mask_total_at_most(2), basis.mask_total_at_most(2))
+        dev = 0.0
+        for x, p, w in system.normal_modes():
+            c, s = math.cos(w * t), math.sin(w * t)
+            sine_op = x if canonical else p
+            dev = max(
+                dev,
+                np.max(np.abs((u.conj().T @ x @ u - x * c - p * (s / w))[idx])),
+                np.max(np.abs((u.conj().T @ p @ u - p * c + w * sine_op * s)[idx])),
+            )
+        assert report.abs_diff == pytest.approx(dev, abs=1e-13)
 
     def test_strong_coupling_converges_with_cutoff(self):
         # operator conjugation feels truncation harder than state expectations:
         # 2.2e-5 at cutoff 12 for g=0.8, geometric decay after that
         params = SystemParams(1.0, 0.8)
-        coarse = heisenberg_evolution_check(params, TwoModeBasis(12), 1.0, 1e-8)
-        fine = heisenberg_evolution_check(params, TwoModeBasis(20), 1.0, 1e-8)
+        coarse = heisenberg_evolution_check(solve(params, TwoModeBasis(12)), 1.0, 1e-8)
+        fine = heisenberg_evolution_check(solve(params, TwoModeBasis(20)), 1.0, 1e-8)
         assert fine.abs_diff < 1e-8
         assert fine.abs_diff < coarse.abs_diff / 100
 
 
 class TestEvolveExpectations:
     def test_uncoupled_columns_constant_at_baselines(self):
-        trace = evolve_expectations(
-            SystemParams(1.0, 0.0), PSI_P, TwoModeBasis(8), np.linspace(0.0, 10.0, 11)
-        )
+        system = solve(SystemParams(1.0, 0.0), TwoModeBasis(8))
+        trace = evolve_expectations(system, PSI_P, np.linspace(0.0, 10.0, 11))
         assert np.max(np.abs(trace.dx1 - math.sqrt(3.0))) < 1e-10
         assert np.max(np.abs(trace.dx2 - 1.0)) < 1e-10
         assert np.max(np.abs(trace.dp1 - math.sqrt(3.0))) < 1e-10
@@ -153,7 +179,8 @@ class TestEvolveExpectations:
 
     def test_continuous_at_time_zero(self):
         params = SystemParams(1.0, 0.8)
-        trace = evolve_expectations(params, PSI_P, TwoModeBasis(10), np.array([0.0, 1e-9]))
+        system = solve(params, TwoModeBasis(10))
+        trace = evolve_expectations(system, PSI_P, np.array([0.0, 1e-9]))
         assert trace.dx1[1] == pytest.approx(trace.dx1[0], abs=1e-6)
 
     @pytest.mark.parametrize("state", [PSI_P, PSI_M])
@@ -161,7 +188,7 @@ class TestEvolveExpectations:
         params = SystemParams(1.0, 0.8)
         period = 2 * math.pi / abs(beat_frequency(params))
         times = np.linspace(0.0, 2 * period, 50)
-        evolved = evolve_expectations(params, state, TwoModeBasis(12), times)
+        evolved = evolve_expectations(solve(params, TwoModeBasis(12)), state, times)
         closed = analytic.trace(params, state, 0.0, 2 * period, 50)
         for col in ("dx1", "dx2", "dp1", "dp2"):
             assert np.max(np.abs(getattr(evolved, col) - getattr(closed, col))) < 1e-6
@@ -172,29 +199,28 @@ class TestEvolveExpectations:
         params = SystemParams(omega=2.0, coupling_ratio=0.5)
         period = 2 * math.pi / abs(beat_frequency(params))
         times = np.linspace(0.0, period, 30)
-        evolved = evolve_expectations(params, PSI_P, TwoModeBasis(12), times)
+        evolved = evolve_expectations(solve(params, TwoModeBasis(12)), PSI_P, times)
         closed = analytic.trace(params, PSI_P, 0.0, period, 30)
         for col in ("dx1", "dx2", "dp1", "dp2"):
             assert np.max(np.abs(getattr(evolved, col) - getattr(closed, col))) < 1e-6
 
     def test_rejects_bad_grid(self):
-        params = SystemParams(1.0, 0.5)
+        system = solve(SystemParams(1.0, 0.5), TwoModeBasis(8))
         with pytest.raises(ValueError):
-            evolve_expectations(params, PSI_P, TwoModeBasis(8), np.array([0.0, np.inf]))
+            evolve_expectations(system, PSI_P, np.array([0.0, np.inf]))
         with pytest.raises(ValueError):
-            evolve_expectations(params, PSI_P, TwoModeBasis(8), np.array([]))
+            evolve_expectations(system, PSI_P, np.array([]))
 
 
 class TestEvolutionInvariants:
     def test_unitarity_norm_and_energy_conservation(self):
-        params = SystemParams(1.0, 0.8)
         basis = TwoModeBasis(12)
-        energies, vectors = fock.hamiltonian_eigensystem(params, basis)
-        h = fock.coupled_hamiltonian(params, basis).matrix
+        system = solve(SystemParams(1.0, 0.8), basis)
+        energies, vectors, h = system.energies, system.vectors, system.h
         u = (vectors * np.exp(-1j * energies * 0.73)) @ vectors.conj().T
         assert np.max(np.abs(u.conj().T @ u - np.eye(basis.dim))) < 1e-10
 
-        psi0 = fock.bell_vector(PSI_P, params, basis)
+        psi0 = fock.bell_vector(system, PSI_P)
         coeffs = vectors.conj().T @ psi0
         times = np.linspace(0.0, 25.0, 32)
         states = vectors @ (np.exp(-1j * np.outer(energies, times)) * coeffs[:, None])
@@ -210,9 +236,9 @@ class TestConsistencyLock:
     @pytest.mark.parametrize("g", [0.2, 0.5, 0.8])
     def test_momentum_cross_correlation_is_forced_by_coordinate_one(self, g):
         params = SystemParams(1.0, g)
-        basis = TwoModeBasis(12)
-        xp, xm, pp, pm = (op.matrix for op in fock.normal_mode_quadratures(params, basis))
-        psi = fock.bell_vector(PSI_P, params, basis)
+        system = solve(params, TwoModeBasis(12))
+        xp, xm, pp, pm = system.xp, system.xm, system.pp, system.pm
+        psi = fock.bell_vector(system, PSI_P)
         x_cross = np.vdot(psi, (xp @ xm) @ psi)
         p_cross = np.vdot(psi, (pp @ pm) @ psi)
         wp = mode_frequency(params, ModeIndex.PLUS)
@@ -225,10 +251,9 @@ class TestConsistencyLock:
         # x1(t) = sum_a (cos(w_a t) X_a + sin(w_a t) P_a / w_a) / sqrt(2); its
         # variance assembled from oracle second moments must equal the closed form.
         params = SystemParams(1.0, g)
-        basis = TwoModeBasis(12)
-        quads = [op.matrix for op in fock.normal_mode_quadratures(params, basis)]
-        xp, xm, pp, pm = quads
-        psi = fock.bell_vector(state, params, basis)
+        system = solve(params, TwoModeBasis(12))
+        xp, xm, pp, pm = system.xp, system.xm, system.pp, system.pm
+        psi = fock.bell_vector(system, state)
         second = np.array(
             [[np.vdot(psi, (a @ b) @ psi) for b in (xp, xm, pp, pm)] for a in (xp, xm, pp, pm)]
         )
@@ -258,7 +283,7 @@ class TestBeatExtraction:
         window = 8 * 2 * math.pi / predicted
         n = 512
         times = np.arange(n) * (window / n)
-        trace = evolve_expectations(params, PSI_P, TwoModeBasis(12), times)
+        trace = evolve_expectations(solve(params, TwoModeBasis(12)), PSI_P, times)
         spectrum = np.abs(np.fft.rfft(trace.dx1**2))
         dominant = 1 + int(np.argmax(spectrum[1:]))
         assert dominant == 8
