@@ -70,7 +70,10 @@ class RunConfig:
 # serialization helpers
 
 _BLOCK_ROWS = 16384  # rows formatted per call: bounds the size of each formatted string
-_JSON_ITEM_SEP = ",\n      "  # list item separator of json.dump(indent=2) at column depth
+# List item separator of json.dump(indent=2) at column depth.  A "%.9g" token
+# never contains "," or a newline, so the separator also splits tokens apart.
+_JSON_ITEM_SEP = ",\n      "
+_JSON_ITEM_FMT = "%.9g" + _JSON_ITEM_SEP
 
 
 def _blocks(n: int):
@@ -78,28 +81,61 @@ def _blocks(n: int):
     return (slice(start, start + _BLOCK_ROWS) for start in range(0, n, _BLOCK_ROWS))
 
 
+def _is_constant(col: np.ndarray) -> bool:
+    """True for a nonempty column whose values are bitwise equal (0.0 and -0.0 differ)."""
+    bits = col.view(np.uint64)
+    return len(bits) > 0 and bool(np.all(bits == bits[0]))
+
+
+def _json_items(values: np.ndarray) -> str:
+    """``values`` rounded to 9 significant digits as JSON numbers joined by _JSON_ITEM_SEP.
+
+    One ``%`` call formats every value as ``%.9g``.  That token is already
+    ``repr(float(token))``, the json encoder's output, for a normal value that
+    is not within 9 digits of an integer: both have the same digits, a decimal
+    point, and exponent notation below 1e-4 only.  The other tokens (zeros,
+    subnormals, nan, inf, and integral values, which include every |v| >= 5e7)
+    are re-encoded exactly.
+    """
+    text = ((_JSON_ITEM_FMT * len(values)) % tuple(values.tolist()))[: -len(_JSON_ITEM_SEP)]
+    size = np.abs(values)
+    with np.errstate(invalid="ignore"):
+        same = (size >= 1e-300) & (np.abs(values - np.rint(values)) > 1e-8 * size)
+    redo = np.flatnonzero(~same).tolist()
+    if not redo:
+        return text
+    tokens = text.split(_JSON_ITEM_SEP)
+    for i in redo:
+        tokens[i] = json.dumps(float(tokens[i]))
+    return _JSON_ITEM_SEP.join(tokens)
+
+
 def _write_csv(stream, columns: dict[str, np.ndarray]) -> None:
     """Header row, then one row per grid point with every value as ``%.9g``.
 
     Each block of rows is formatted by a single ``%`` call, which renders a
-    float exactly as ``f"{value:.9g}"`` does.
+    float exactly as ``f"{value:.9g}"`` does.  A constant column is formatted
+    once, into the row template.
     """
     csv.writer(stream, lineterminator="\n").writerow(columns.keys())
     cols = [np.asarray(col, dtype=float) for col in columns.values()]
     if not cols:
         return
-    row = ",".join(["%.9g"] * len(cols)) + "\n"
+    constant = [_is_constant(col) for col in cols]
+    row = ",".join("%.9g" % col[0] if c else "%.9g" for col, c in zip(cols, constant)) + "\n"
+    varying = [col for col, c in zip(cols, constant) if not c]
     for rows in _blocks(len(cols[0])):
-        block = np.column_stack([col[rows] for col in cols])
-        stream.write((row * len(block)) % tuple(block.ravel().tolist()))
+        n = len(cols[0][rows])
+        block = np.column_stack([col[rows] for col in varying]) if varying else np.empty((n, 0))
+        stream.write((row * n) % tuple(block.ravel().tolist()))
 
 
 def _write_json(stream, columns: dict[str, np.ndarray], metadata: dict) -> None:
     """Write ``json.dump({"metadata": ..., "columns": ...}, indent=2)`` and a newline.
 
-    Column values are rounded to 9 significant digits.  Each block of a column
-    goes through the C encoder, which writes no indent, and is then indented
-    by replacing its ", " separators: the repr of a float never contains ", ".
+    Column values are rounded to 9 significant digits: each value is formatted
+    once as ``%.9g`` and only the tokens whose repr may differ are re-encoded
+    (see ``_json_items``).  A constant column is formatted once and repeated.
     """
     stream.write('{\n  "metadata": ' + json.dumps(metadata, indent=2).replace("\n", "\n  "))
     stream.write(',\n  "columns": {')
@@ -107,11 +143,14 @@ def _write_json(stream, columns: dict[str, np.ndarray], metadata: dict) -> None:
     for name, col in columns.items():
         stream.write(key_sep + json.dumps(name) + ": [")
         col = np.asarray(col, dtype=float)
+        token = _json_items(col[:1]) if _is_constant(col) else None
         item_sep = "\n      "
         for rows in _blocks(len(col)):
-            values = col[rows].tolist()
-            rounded = list(map(float, (("%.9g " * len(values)) % tuple(values)).split()))
-            stream.write(item_sep + json.dumps(rounded)[1:-1].replace(", ", _JSON_ITEM_SEP))
+            if token is None:
+                items = _json_items(col[rows])
+            else:
+                items = _JSON_ITEM_SEP.join([token] * len(col[rows]))
+            stream.write(item_sep + items)
             item_sep = _JSON_ITEM_SEP
         stream.write("\n    ]" if len(col) else "]")
         key_sep = ",\n    "

@@ -34,6 +34,8 @@ __all__ = [
     "cross_momentum_scaling_probe",
 ]
 
+EVOLVE_TIME_BLOCK = 2048  # grid points evolved together by evolve_expectations
+
 
 @dataclass(frozen=True)
 class OracleReport:
@@ -231,8 +233,9 @@ def evolve_expectations(
     """Schrodinger-evolve the entangled state and collect normalized std devs.
 
     |psi(t)> = exp(-i H t) |psi>, computed through the eigendecomposition of
-    H, all times at once.  First moments are <psi(t)|A|psi(t)> and second
-    moments ||A psi(t)||^2.  The returned columns are the standard deviations
+    H, EVOLVE_TIME_BLOCK times at a time so that memory is O(dim x block).
+    First moments are <psi(t)|A|psi(t)> and second moments ||A psi(t)||^2.
+    The returned columns are the standard deviations
     of the bare coordinates and momenta on the evolved state, divided by the
     single-oscillator ground-state values; none of the closed-form amplitude
     results enter.
@@ -245,19 +248,22 @@ def evolve_expectations(
 
     psi0 = fock.bell_vector(system, state)
     coeffs = system.vectors.T @ psi0  # the eigenvectors are real
-    evolved = _evolve(system, coeffs[:, None], times)  # (dim, n_times)
     w = system.params.omega
-
-    def normalized_std(op: np.ndarray, norm_sq: float) -> np.ndarray:
-        image = op @ evolved
-        first = np.einsum("it,it->t", evolved.conj(), image).real
-        second = np.einsum("it,it->t", image.conj(), image).real
-        return np.sqrt(np.maximum(second - first**2, 0.0) * norm_sq)
-
-    dx1 = normalized_std(system.x1, 2.0 * w)
-    dx2 = normalized_std(system.x2, 2.0 * w)
-    dp1 = normalized_std(system.p1, 2.0 / w)
-    dp2 = normalized_std(system.p2, 2.0 / w)
+    observables = (
+        (system.x1, 2.0 * w),
+        (system.x2, 2.0 * w),
+        (system.p1, 2.0 / w),
+        (system.p2, 2.0 / w),
+    )
+    dx1, dx2, dp1, dp2 = stds = [np.empty(times.size) for _ in observables]
+    for start in range(0, times.size, EVOLVE_TIME_BLOCK):
+        block = slice(start, start + EVOLVE_TIME_BLOCK)
+        evolved = _evolve(system, coeffs[:, None], times[block])  # (dim, block size)
+        for out, (op, norm_sq) in zip(stds, observables):
+            image = op @ evolved
+            first = np.einsum("it,it->t", evolved.conj(), image).real
+            second = np.einsum("it,it->t", image.conj(), image).real
+            out[block] = np.sqrt(np.maximum(second - first**2, 0.0) * norm_sq)
     return FluctuationTrace(
         times=times,
         dx1=dx1,

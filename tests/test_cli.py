@@ -4,9 +4,11 @@ import csv
 import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bellosc import analytic
 from bellosc.cli import _BLOCK_ROWS, _write_csv, _write_json, main
@@ -63,8 +65,47 @@ def reference_json(stream, columns, metadata):
 
 EDGE_VALUES = [
     0.0, -0.0, math.nan, math.inf, -math.inf, 1e20, 5e-324, 1 / 3, 2.5e9, 123456789012.0,
+    3.0, 1e8, 99999999.95, 2.2250738585072014e-308, 1e16,
 ]
 METADATA = {"command": "trace", "t_max": None, "couplings": [0.0, 0.5], "nested": {}}
+
+# Any float64, mixed with values whose %.9g token and JSON repr part ways:
+# integral values and the 1e8, 1e9 and 1e16 notation edges.
+_NOTATION_EDGES = st.sampled_from([1e8, 1e9, 1e16])
+_WRITER_VALUES = st.one_of(
+    st.floats(width=64),  # nan, +-inf and subnormals included
+    st.integers(-(2**60), 2**60).map(float),
+    st.builds(lambda edge, k: edge * (1 + k * 5e-10), _NOTATION_EDGES, st.integers(-30, 30)),
+    st.builds(lambda edge, k: edge + k * math.ulp(edge), _NOTATION_EDGES, st.integers(-3, 3)),
+)
+
+
+@st.composite
+def writer_columns(draw):
+    """1 to 4 equal-length float64 columns, some of them bitwise constant."""
+    n = draw(st.integers(0, 30))
+    columns = {}
+    for i in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["drawn", "constant", "signed-zeros"]))
+        if kind == "constant":
+            col = np.full(n, draw(st.sampled_from([-0.0, math.nan, 3.0])))
+        elif kind == "signed-zeros":  # alternating 0.0 and -0.0 must not share one token
+            col = np.where(np.arange(n) % 2 == 1, -0.0, 0.0)
+        else:
+            col = np.array(draw(st.lists(_WRITER_VALUES, min_size=n, max_size=n)), dtype=float)
+        columns[f"c{i}"] = -col if draw(st.booleans()) else col
+    return columns
+
+
+def assert_writers_match_reference(columns):
+    expected, actual = io.StringIO(), io.StringIO()
+    reference_csv(expected, columns)
+    _write_csv(actual, columns)
+    assert actual.getvalue() == expected.getvalue()
+    expected, actual = io.StringIO(), io.StringIO()
+    reference_json(expected, columns, METADATA)
+    _write_json(actual, columns, METADATA)
+    assert actual.getvalue() == expected.getvalue()
 
 
 class TestWriters:
@@ -82,14 +123,12 @@ class TestWriters:
         ids=["edge-values", "no-columns", "empty-column", "across-blocks"],
     )
     def test_block_writers_match_per_value_reference(self, columns):
-        expected, actual = io.StringIO(), io.StringIO()
-        reference_csv(expected, columns)
-        _write_csv(actual, columns)
-        assert actual.getvalue() == expected.getvalue()
-        expected, actual = io.StringIO(), io.StringIO()
-        reference_json(expected, columns, METADATA)
-        _write_json(actual, columns, METADATA)
-        assert actual.getvalue() == expected.getvalue()
+        assert_writers_match_reference(columns)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(columns=writer_columns())
+    def test_writers_match_reference_on_drawn_columns(self, columns):
+        assert_writers_match_reference(columns)
 
 
 class TestTrace:
@@ -377,7 +416,86 @@ class TestFigures:
                 assert np.array_equal(cols[f"{column}_g{g:g}"], rounded)
 
 
+# Option values for the argv property.  --steps and --cutoff stay small, plus
+# values above the size guards, which must be rejected before any allocation.
+_WILD_FLOAT_TEXT = st.one_of(
+    st.floats(width=64).map(repr),
+    st.sampled_from(["0", "-0", "1e-300", "1e300", "1e400", "nan", "inf", "x", ""]),
+)
+
+
+def _float_text(low, high):
+    """A float in [low, high] three times in four, else a wild or malformed one."""
+    plausible = st.floats(low, high).map(repr)
+    return st.integers(0, 3).flatmap(lambda k: _WILD_FLOAT_TEXT if k == 0 else plausible)
+
+
+_OPTION_VALUES = {
+    "--omega": _float_text(0.1, 10.0),
+    "--coupling": _float_text(0.0, 2.0),
+    "--t-max": _float_text(0.1, 50.0),
+    "--tolerance": _float_text(1e-12, 1e-3),
+    "--couplings": st.one_of(
+        st.lists(_float_text(0.0, 2.0), min_size=1, max_size=3).map(",".join),
+        st.sampled_from([",", "1,,x"]),
+    ),
+    "--steps": st.one_of(
+        st.integers(-2, 40).map(str), st.sampled_from(["10000010", str(10**13), "1.5", "x"])
+    ),
+    "--cutoff": st.one_of(st.integers(2, 8).map(str), st.sampled_from(["-1", "41", "10000", "x"])),
+    "--state": st.sampled_from(["psi-plus", "psi-minus", "phi"]),
+    "--oscillator": st.sampled_from(["1", "2", "3"]),
+    "--seed": st.sampled_from(["0", "12345", "-1", str(2**64), "x"]),
+    "--format": st.sampled_from(["csv", "json", "xml"]),
+}
+_SUBCOMMAND_OPTIONS = {
+    "verify": ("--omega", "--coupling", "--tolerance", "--t-max", "--steps"),
+    "trace": ("--omega", "--coupling", "--state", "--t-max", "--steps", "--format"),
+    "sweep": ("--omega", "--state", "--couplings", "--format"),
+    "sample": (
+        "--omega", "--coupling", "--state", "--oscillator", "--t-max", "--steps", "--seed",
+        "--format",
+    ),
+    "figures": ("--omega", "--state", "--t-max", "--steps", "--seed", "--couplings"),
+}
+
+
+@st.composite
+def cli_argv(draw, out_dir):
+    """A subcommand with drawn options; file outputs go under ``out_dir``."""
+    command = draw(st.sampled_from(sorted(_SUBCOMMAND_OPTIONS)))
+    argv = [command]
+    for option in draw(st.lists(st.sampled_from(_SUBCOMMAND_OPTIONS[command]), unique=True)):
+        argv.append(f"{option}={draw(_OPTION_VALUES[option])}")  # "=": values may start with "-"
+    if command == "verify":  # the default cutoff 12 is too slow to draw hundreds of times
+        argv.append(f"--cutoff={draw(_OPTION_VALUES['--cutoff'])}")
+    elif command == "figures":
+        argv.append(f"--out-dir={out_dir / draw(st.sampled_from(['figs', 'no-dir/figs']))}")
+    else:
+        target = draw(st.sampled_from(["-", "out.txt", "no-dir/out.txt"]))
+        argv.append(f"--output={target if target == '-' else out_dir / target}")
+    if draw(st.integers(0, 7)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "-h", "7"])))
+    return argv
+
+
 class TestExitCodes:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_any_argv_exits_0_1_or_2_without_traceback(self, data, tmp_path_factory):
+        out_dir = tmp_path_factory.getbasetemp() / "argv-property"
+        out_dir.mkdir(exist_ok=True)
+        (out_dir / "no-dir").touch()  # a file where a directory is expected
+        argv = data.draw(cli_argv(out_dir))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors and --help
+                code = exc.code
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+
     def test_unknown_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["trace", "--nonsense"])

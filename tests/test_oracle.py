@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bellosc import analytic, fock
+from bellosc import analytic, fock, oracle
 from bellosc.fock import TwoModeBasis, solve
 from bellosc.model import (
     BellState,
@@ -203,6 +203,15 @@ class TestEvolveExpectations:
         closed = analytic.trace(params, PSI_P, 0.0, period, 30)
         for col in ("dx1", "dx2", "dp1", "dp2"):
             assert np.max(np.abs(getattr(evolved, col) - getattr(closed, col))) < 1e-6
+
+    def test_time_blocks_agree_with_one_block(self, monkeypatch):
+        system = solve(SystemParams(1.0, 0.8), TwoModeBasis(10))
+        times = np.linspace(0.0, 30.0, 61)
+        whole = evolve_expectations(system, PSI_M, times)
+        monkeypatch.setattr(oracle, "EVOLVE_TIME_BLOCK", 7)  # 9 blocks, the last one short
+        blocked = evolve_expectations(system, PSI_M, times)
+        for col in ("dx1", "dx2", "dp1", "dp2", "up1", "up2"):
+            assert np.max(np.abs(getattr(blocked, col) - getattr(whole, col))) <= 1e-13
 
     def test_rejects_bad_grid(self):
         system = solve(SystemParams(1.0, 0.5), TwoModeBasis(8))
