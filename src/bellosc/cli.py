@@ -19,6 +19,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -69,11 +70,122 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # serialization helpers
 
-_BLOCK_ROWS = 16384  # rows formatted per call: bounds the size of each formatted string
-# List item separator of json.dump(indent=2) at column depth.  A "%.9g" token
-# never contains "," or a newline, so the separator also splits tokens apart.
+_BLOCK_ROWS = 16384  # rows formatted per call: bounds the size of each block buffer
+# List item separator of json.dump(indent=2) at column depth.
 _JSON_ITEM_SEP = ",\n      "
-_JSON_ITEM_FMT = "%.9g" + _JSON_ITEM_SEP
+_TOKEN_BYTES = 16  # widest "%.9g" token: "-1.23456789e-308"
+_JSON_TOKEN_BYTES = 19  # widest re-encoded JSON token: "-1234567890000000.0"
+
+
+def _token_tables():
+    """Lookup tables of ``_tokens``' integer path, by decimal exponent x in [-4, 7].
+
+    ``scale[x + 4]`` is ``10**(8 - x)``, exact in float64.  ``layout[x + 4]``
+    says how the 9 ASCII digits, a 128-bit little-endian number held in two
+    uint64 words, become the unsigned token: the mask of the leading digits
+    that stay in place, the shift in bits that moves the others up, and the
+    two words of the bytes that fill the gap ("." after x + 1 digits, or "0."
+    and -x - 1 zeros in front).  ``mask[9 * (x + 4) + tz]`` holds the two
+    words that keep the bytes of a token, sign slot included, whose tz
+    trailing zero digits are cut.
+    """
+    scale, layout, mask = [], [], []
+    for x in range(-4, 8):
+        scale.append(float(10 ** (8 - x)))
+        if x < 0:
+            kept, gap, insert = 0, 1 - x, int.from_bytes(b"0." + b"0" * (-x - 1), "little")
+        else:
+            kept, gap, insert = x + 1, 1, ord(".") << 8 * (x + 1)
+        layout.append(((1 << 8 * kept) - 1, 8 * gap, insert & (2**64 - 1), insert >> 64))
+        for tz in range(9):
+            # cut tz zeros, or all 8 - x fraction digits and the point
+            size = 1 + 9 + gap - (tz if tz < 8 - x else 9 - x)
+            mask.append(((1 << 8 * min(size, 8)) - 1, (1 << 8 * max(size - 8, 0)) - 1))
+    return np.array(scale), np.array(layout, dtype=np.uint64), np.array(mask, dtype=np.uint64)
+
+
+_SCALE, _LAYOUT, _MASK = _token_tables()
+
+
+def _nine_digits(v: np.ndarray):
+    """``(fast, xi, m)``: where ``fast``, |v| rounded to 9 digits is m * 10**(xi - 12)
+    with m in [1e8, 1e9) (see ``_tokens``); elsewhere m is 1e8."""
+    with np.errstate(all="ignore"):  # log10(0), nan comparisons, overflow of s
+        s = np.abs(v)
+        x = np.floor(np.log10(s))
+        fast = (x >= -4) & (x <= 7)
+        xi = np.where(fast, x + 4, 0).astype(np.intp)
+        s *= np.take(_SCALE, xi)
+        m = np.rint(s)
+        fast &= (s >= 1e8) & (m < 1e9) & (np.abs(s - m) < 0.5 - 1e-6)
+    m[~fast] = 1e8
+    return fast, xi, m.astype(np.uint64)
+
+
+def _ascii_digits(m: np.ndarray):
+    """``(lo, hi, tz)``: m in [1e8, 1e9) as 9 ASCII digits in 128-bit little-endian
+    words (lo holds bytes 0-7, hi bytes 8-15), and its count of trailing zero digits."""
+    lead = m // 100000000
+    w = m - lead * 100000000  # the other 8 digits, made one byte each of w
+    q = w // 10000
+    w = q | ((w - q * 10000) << 32)  # two 4-digit lanes
+    q = ((w * 10486) >> 20) & 0x0000007F0000007F  # // 100 in each lane
+    w = q | ((w - q * 100) << 16)  # four 2-digit lanes
+    q = ((w * 103) >> 10) & 0x000F000F000F000F  # // 10 in each lane
+    w = q | ((w - q * 10) << 8)  # eight 1-digit lanes, most significant first
+    # Trailing zero digits are the bytes above w's highest nonzero one; a byte
+    # is at most 9, so converting w to float cannot carry into the next byte.
+    tz = 8 - (np.frexp(w.astype(float))[1] + 7) // 8
+    w |= 0x3030303030303030
+    return (lead + 0x30) | (w << 8), w >> 56, tz
+
+
+def _tokens(values: np.ndarray) -> np.ndarray:
+    """Each value's ``"%.9g" % v`` token as ASCII bytes, in an (n, 16) uint8 matrix.
+
+    NUL bytes pad each token: one in front of a nonnegative token from the
+    integer path, the rest behind it.  The writers drop every NUL.
+
+    Integer path, for a value whose decimal exponent x = floor(log10|v|) is in
+    [-4, 7]: s = |v| * 10**(8 - x) is scaled by an exact power of ten (10^12
+    down to 10^1), so the product's one rounding error is at most half an
+    ulp, 6e-8 for s < 2^30.  When s is in [1e8, 1e9), m = rint(s) < 1e9 and s
+    is more than 1e-6 from a rounding tie, that error cannot change the
+    rounding, so m holds the 9 digits that ``%.9g`` prints.  They are built as
+    ASCII on uint64, eight per word; the point or the "0.000" prefix, the cut
+    of trailing zeros and the sign are placed with per-element shifts and
+    masks.
+
+    Every other value (zeros, subnormals, nan, inf, |v| outside [1e-4, 1e8),
+    near-ties, log10 off by one next to a power of ten, m rounding up to 1e9)
+    is written by ``"%.9g" % v`` into its row.
+    """
+    v = np.asarray(values, dtype=float)
+    fast, xi, m = _nine_digits(v)
+    lo, hi, tz = _ascii_digits(m)
+    keep, shift, insert_lo, insert_hi = np.take(_LAYOUT, xi, axis=0).T
+    rest = lo & ~keep
+    hi = (hi << shift) | (rest >> (64 - shift)) | insert_hi
+    lo = (lo & keep) | (rest << shift) | insert_lo
+    out = np.empty((len(v), 2), dtype="<u8")
+    out[:, 1] = (hi << 8) | (lo >> 56)
+    out[:, 0] = (lo << 8) | (np.signbit(v) * np.uint64(ord("-")))  # the sign slot
+    out &= np.take(_MASK, xi * 9 + tz, axis=0)
+    out = out.view(np.uint8)
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        out[slow] = _ascii_rows(["%.9g" % f for f in v[slow].tolist()], _TOKEN_BYTES)
+    return out
+
+
+def _ascii_rows(tokens: list[str], width: int) -> np.ndarray:
+    """ASCII strings as the NUL-padded rows of a (len(tokens), width) uint8 matrix."""
+    return np.array(tokens, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+
+
+def _write_bytes(stream, block: np.ndarray) -> None:
+    """Write the block's bytes in row order, NULs dropped."""
+    stream.write(block.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def _blocks(n: int):
@@ -87,71 +199,86 @@ def _is_constant(col: np.ndarray) -> bool:
     return len(bits) > 0 and bool(np.all(bits == bits[0]))
 
 
-def _json_items(values: np.ndarray) -> str:
-    """``values`` rounded to 9 significant digits as JSON numbers joined by _JSON_ITEM_SEP.
+def _json_items(values: np.ndarray, out: np.ndarray) -> None:
+    """Write ``values`` as JSON numbers rounded to 9 significant digits into ``out``.
 
-    One ``%`` call formats every value as ``%.9g``.  That token is already
+    ``out`` is an (n, _JSON_TOKEN_BYTES) uint8 view; each row gets one
+    NUL-padded token.  The ``%.9g`` token of ``_tokens`` is already
     ``repr(float(token))``, the json encoder's output, for a normal value that
     is not within 9 digits of an integer: both have the same digits, a decimal
     point, and exponent notation below 1e-4 only.  The other tokens (zeros,
     subnormals, nan, inf, and integral values, which include every |v| >= 5e7)
     are re-encoded exactly.
     """
-    text = ((_JSON_ITEM_FMT * len(values)) % tuple(values.tolist()))[: -len(_JSON_ITEM_SEP)]
+    out[:, :_TOKEN_BYTES] = _tokens(values)
+    out[:, _TOKEN_BYTES:] = 0
     size = np.abs(values)
     with np.errstate(invalid="ignore"):
         same = (size >= 1e-300) & (np.abs(values - np.rint(values)) > 1e-8 * size)
-    redo = np.flatnonzero(~same).tolist()
-    if not redo:
-        return text
-    tokens = text.split(_JSON_ITEM_SEP)
-    for i in redo:
-        tokens[i] = json.dumps(float(tokens[i]))
-    return _JSON_ITEM_SEP.join(tokens)
+    redo = np.flatnonzero(~same)
+    if len(redo):
+        tokens = [json.dumps(float("%.9g" % v)) for v in values[redo].tolist()]
+        out[redo] = _ascii_rows(tokens, _JSON_TOKEN_BYTES)
 
 
 def _write_csv(stream, columns: dict[str, np.ndarray]) -> None:
     """Header row, then one row per grid point with every value as ``%.9g``.
 
-    Each block of rows is formatted by a single ``%`` call, which renders a
-    float exactly as ``f"{value:.9g}"`` does.  A constant column is formatted
-    once, into the row template.
+    Each block of rows is laid out in one byte buffer: every column's tokens
+    (see ``_tokens``) in a slot of its own, each slot followed by "," or the
+    newline.  A constant column is formatted once, into its slot.
     """
     csv.writer(stream, lineterminator="\n").writerow(columns.keys())
     cols = [np.asarray(col, dtype=float) for col in columns.values()]
     if not cols:
         return
-    constant = [_is_constant(col) for col in cols]
-    row = ",".join("%.9g" % col[0] if c else "%.9g" for col, c in zip(cols, constant)) + "\n"
-    varying = [col for col, c in zip(cols, constant) if not c]
-    for rows in _blocks(len(cols[0])):
-        n = len(cols[0][rows])
-        block = np.column_stack([col[rows] for col in varying]) if varying else np.empty((n, 0))
-        stream.write((row * n) % tuple(block.ravel().tolist()))
+    n = len(cols[0])
+    block = np.empty((min(n, _BLOCK_ROWS), len(cols), _TOKEN_BYTES + 1), dtype=np.uint8)
+    block[:, :, -1] = ord(",")
+    block[:, -1, -1] = ord("\n")
+    varying = []
+    for i, col in enumerate(cols):
+        slot = block[:, i, :-1]
+        if _is_constant(col):
+            slot[:] = _tokens(col[:1])
+        else:
+            varying.append((col, slot))
+    for rows in _blocks(n):
+        count = len(cols[0][rows])
+        for col, slot in varying:
+            slot[:count] = _tokens(col[rows])
+        _write_bytes(stream, block[:count])
 
 
 def _write_json(stream, columns: dict[str, np.ndarray], metadata: dict) -> None:
     """Write ``json.dump({"metadata": ..., "columns": ...}, indent=2)`` and a newline.
 
-    Column values are rounded to 9 significant digits: each value is formatted
-    once as ``%.9g`` and only the tokens whose repr may differ are re-encoded
-    (see ``_json_items``).  A constant column is formatted once and repeated.
+    Column values are rounded to 9 significant digits (see ``_json_items``).
+    Each block of a column is laid out in one byte buffer, a separator in
+    front of every token; the first one's comma is dropped.  A constant
+    column is formatted once and repeated.
     """
     stream.write('{\n  "metadata": ' + json.dumps(metadata, indent=2).replace("\n", "\n  "))
     stream.write(',\n  "columns": {')
+    n = max((len(col) for col in columns.values()), default=0)
+    sep = np.frombuffer(_JSON_ITEM_SEP.encode("ascii"), dtype=np.uint8)
+    block = np.empty((min(n, _BLOCK_ROWS), len(sep) + _JSON_TOKEN_BYTES), dtype=np.uint8)
+    block[:, : len(sep)] = sep
+    slot = block[:, len(sep) :]
     key_sep = "\n    "
     for name, col in columns.items():
         stream.write(key_sep + json.dumps(name) + ": [")
         col = np.asarray(col, dtype=float)
-        token = _json_items(col[:1]) if _is_constant(col) else None
-        item_sep = "\n      "
+        constant = _is_constant(col)
+        if constant:
+            _json_items(col[:1], slot[:1])
+            slot[1:] = slot[0]
         for rows in _blocks(len(col)):
-            if token is None:
-                items = _json_items(col[rows])
-            else:
-                items = _JSON_ITEM_SEP.join([token] * len(col[rows]))
-            stream.write(item_sep + items)
-            item_sep = _JSON_ITEM_SEP
+            count = len(col[rows])
+            if not constant:
+                _json_items(col[rows], slot[:count])
+            block[0, 0] = sep[0] if rows.start else 0  # no comma before the first item
+            _write_bytes(stream, block[:count])
         stream.write("\n    ]" if len(col) else "]")
         key_sep = ",\n    "
     stream.write("\n  }\n}\n" if columns else "}\n}\n")
@@ -418,10 +545,9 @@ def cmd_verify(config: RunConfig) -> int:
     )
 
     t_max = config.resolved_t_max()
-    times = np.linspace(0.0, t_max, config.steps)
     for state in (BellState.PSI_PLUS, BellState.PSI_MINUS):
-        closed = analytic.trace(params, state, 0.0, t_max, config.steps)
-        evolved = oracle.evolve_expectations(system, state, times)
+        closed = analytic.trace(params, state, 0.0, t_max, config.steps)  # validates t_max
+        evolved = oracle.evolve_expectations(system, state, closed.times)
         dev = max(
             float(np.max(np.abs(getattr(closed, col) - getattr(evolved, col))))
             for col in ("dx1", "dx2", "dp1", "dp2")
@@ -569,9 +695,36 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**kwargs)
 
 
+# A negative number, including the forms argparse would take for a flag: -1e-3, -inf, -nan.
+_NEGATIVE_VALUE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Join ``--option -value`` into ``--option=-value`` when the value is a negative number.
+
+    argparse reads only ``-digits`` and ``-digits.digits`` as negative numbers,
+    so ``--omega -1e-3`` would otherwise fail as a missing argument instead of
+    reaching the option's own check.
+    """
+    joined: list[str] = []
+    for arg in argv:
+        prev = joined[-1] if joined else ""
+        if (
+            _NEGATIVE_VALUE.match(arg)
+            and prev.startswith("--")
+            and "=" not in prev
+            and not "--help".startswith(prev)
+        ):
+            joined[-1] = f"{prev}={arg}"
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_attach_negative_values(argv))
     try:
         config = _config_from_args(args)
         return args.handler(config, args)

@@ -35,10 +35,10 @@ class RealizationConfig:
     def __post_init__(self) -> None:
         if not (0 <= int(self.seed) < 2**64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
         if not (math.isfinite(self.t_max) and self.t_max > 0):
             raise ValueError(f"t_max must be finite and > 0, got {self.t_max!r}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
         if self.t_max / self.dt > MAX_GRID_POINTS:
             raise ValueError(
                 f"t_max/dt = {self.t_max / self.dt:.3g} exceeds the {MAX_GRID_POINTS:.0e} point guard"

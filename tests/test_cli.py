@@ -4,14 +4,15 @@ import csv
 import io
 import json
 import math
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bellosc import analytic
-from bellosc.cli import _BLOCK_ROWS, _write_csv, _write_json, main
+from bellosc import analytic, cli
+from bellosc.cli import _BLOCK_ROWS, _tokens, _write_csv, _write_json, main
 from bellosc.model import BellState, OscillatorIndex, SystemParams
 from bellosc.sampler import RealizationConfig, sample_realization
 
@@ -70,10 +71,20 @@ EDGE_VALUES = [
 METADATA = {"command": "trace", "t_max": None, "couplings": [0.0, 0.5], "nested": {}}
 
 # Any float64, mixed with values whose %.9g token and JSON repr part ways:
-# integral values and the 1e8, 1e9 and 1e16 notation edges.
+# integral values and the 1e8, 1e9 and 1e16 notation edges.  Plain float
+# draws rarely land in [1e-4, 1e8), where the integer path of _tokens works,
+# so values with few digits and 9-digit rounding ties there are drawn too.
 _NOTATION_EDGES = st.sampled_from([1e8, 1e9, 1e16])
+_INTEGER_PATH_VALUES = st.one_of(
+    st.floats(1e-4, 1e8),
+    st.builds(lambda m, e: m * 10.0**e, st.integers(1, 10**9 - 1), st.integers(-13, 0)),
+    st.builds(
+        lambda m, e: (m + 0.5) * 10.0**e, st.integers(10**8, 10**9 - 1), st.integers(-12, 0)
+    ),
+)
 _WRITER_VALUES = st.one_of(
     st.floats(width=64),  # nan, +-inf and subnormals included
+    _INTEGER_PATH_VALUES,
     st.integers(-(2**60), 2**60).map(float),
     st.builds(lambda edge, k: edge * (1 + k * 5e-10), _NOTATION_EDGES, st.integers(-30, 30)),
     st.builds(lambda edge, k: edge + k * math.ulp(edge), _NOTATION_EDGES, st.integers(-3, 3)),
@@ -108,7 +119,79 @@ def assert_writers_match_reference(columns):
     assert actual.getvalue() == expected.getvalue()
 
 
+def _neighbours(values):
+    """Each value with the float just below and just above it."""
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([np.nextafter(values, -np.inf), values, np.nextafter(values, np.inf)])
+
+
+def _kernel_edge_values():
+    """Values at the edges of _tokens' integer path, named by class."""
+    rng = np.random.default_rng(14)
+    exponents = np.arange(-6, 11)
+    # 1 to 9 significant digits at every decimal exponent (9-digit integers at x = 8)
+    digits = [
+        int(rng.integers(10 ** (d - 1), 10**d)) * 10.0 ** float(x - d + 1)
+        for x in exponents
+        for d in range(1, 10)
+    ]
+    integers = [float(m) for m in rng.integers(10**8, 10**9, 20)]
+    # exact 9-digit ties (m + 0.5) * 10^(x - 8); exact in binary for x >= 8 only
+    ties = [
+        (int(m) + 0.5) * 10.0 ** float(x - 8)
+        for x in exponents
+        for m in rng.integers(10**8, 10**9, 4)
+    ]
+    # ties that binary holds exactly, inside the integer path's range and above it
+    ties += [12345678.25, 12345678.75, 1234567.125, 123456.0625, 123456789.5, 123456788.5]
+    # powers of ten and the values next to them that round to them at 9 digits
+    bounds = [1e-4, 1e8, 1e9, 9.9999999949e-5, 9.999999995e-5, 99999999.949, 99999999.95]
+    bounds += [999999999.49, 999999999.5, 1e-5, 1e-3, 1e7, 1e10]
+    bounds += [9.9999999996e-4, 0.99999999996, 99999.99996, 99999999.97]
+    return {
+        "digits": np.array(digits),
+        "integers": np.array(integers),
+        "ties": _neighbours(ties),
+        "boundaries": _neighbours(bounds),
+    }
+
+
+_KERNEL_EDGES = _kernel_edge_values()
+
+
 class TestWriters:
+    @pytest.mark.parametrize("kind", sorted(_KERNEL_EDGES))
+    def test_kernel_edges_match_per_value_reference(self, kind):
+        values = _KERNEL_EDGES[kind]
+        assert_writers_match_reference({"v": values, "minus_v": -values[::-1]})
+
+    def test_tokens_match_percent_format(self):
+        rng = np.random.default_rng(7)
+        values = np.concatenate(
+            [
+                rng.integers(0, 2**64, 20000, dtype=np.uint64).view(float),
+                10 ** rng.uniform(-7, 11, 20000) * rng.choice([-1.0, 1.0], 20000),
+                *_KERNEL_EDGES.values(),
+            ]
+        )
+        tokens = [row.tobytes().replace(b"\0", b"").decode() for row in _tokens(values)]
+        assert tokens == ["%.9g" % v for v in values.tolist()]
+
+    def test_special_values_raise_no_warning(self, capsys):
+        specials = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310])
+        columns = {
+            "mixed": np.tile(specials, 3),
+            "zero": np.zeros(21),
+            "minus_zero": np.full(21, -0.0),
+            "nan": np.full(21, math.nan),
+            "inf": np.full(21, math.inf),
+            "subnormal": np.full(21, -5e-324),
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_writers_match_reference(columns)
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize(
         "columns",
         [
@@ -129,6 +212,76 @@ class TestWriters:
     @given(columns=writer_columns())
     def test_writers_match_reference_on_drawn_columns(self, columns):
         assert_writers_match_reference(columns)
+
+
+def capture_writers(monkeypatch):
+    """Record (path, columns, metadata) of every file the writers fill, then write it."""
+    written = []
+
+    def csv_writer(stream, columns):
+        written.append((stream.name, columns, None))
+        _write_csv(stream, columns)
+
+    def json_writer(stream, columns, metadata):
+        written.append((stream.name, columns, metadata))
+        _write_json(stream, columns, metadata)
+
+    monkeypatch.setattr(cli, "_write_csv", csv_writer)
+    monkeypatch.setattr(cli, "_write_json", json_writer)
+    return written
+
+
+def assert_files_match_reference(written):
+    assert written
+    for path, columns, metadata in written:
+        expected = io.StringIO()
+        if metadata is None:
+            reference_csv(expected, columns)
+        else:
+            reference_json(expected, columns, metadata)
+        with open(path, "rb") as fh:
+            assert fh.read().decode("utf-8") == expected.getvalue(), path
+
+
+_MANY_STEPS = str(2 * _BLOCK_ROWS + 5)
+
+
+class TestExportIdentity:
+    """Exported files equal the per-value reference writers on the same columns."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sample", "--coupling", "0.8", "--steps", _MANY_STEPS, "--seed", "11"),
+            ("trace", "--coupling", "0.3", "--steps", _MANY_STEPS),
+        ],
+        ids=["sample", "trace"],
+    )
+    def test_multi_block_exports(self, argv, fmt, tmp_path, monkeypatch, capsys):
+        written = capture_writers(monkeypatch)
+        out_file = tmp_path / f"out.{fmt}"
+        code, _, err = run(capsys, *argv, "--format", fmt, "--output", str(out_file))
+        assert code == 0 and err == ""
+        assert all(len(col) > 2 * _BLOCK_ROWS for col in written[0][1].values())
+        assert_files_match_reference(written)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep_strided_columns_across_blocks(self, fmt, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 7)  # 81 rows in 12 blocks
+        written = capture_writers(monkeypatch)
+        out_file = tmp_path / f"sweep.{fmt}"
+        code, _, err = run(capsys, "sweep", "--format", fmt, "--output", str(out_file))
+        assert code == 0 and err == ""
+        assert not any(col.flags.c_contiguous for col in written[0][1].values())
+        assert_files_match_reference(written)
+
+    def test_figures(self, tmp_path, monkeypatch, capsys):
+        written = capture_writers(monkeypatch)
+        code = main(["figures", "--out-dir", str(tmp_path), "--steps", "64", "--seed", "3"])
+        assert code == 0
+        assert len(written) == 6
+        assert_files_match_reference(written)
 
 
 class TestTrace:
@@ -421,6 +574,7 @@ class TestFigures:
 _WILD_FLOAT_TEXT = st.one_of(
     st.floats(width=64).map(repr),
     st.sampled_from(["0", "-0", "1e-300", "1e300", "1e400", "nan", "inf", "x", ""]),
+    st.sampled_from(["-1e-3", "-2.5E+2", "-1e400", "-5e-324", "-inf", "-nan", "-.5"]),
 )
 
 
@@ -466,7 +620,11 @@ def cli_argv(draw, out_dir):
     command = draw(st.sampled_from(sorted(_SUBCOMMAND_OPTIONS)))
     argv = [command]
     for option in draw(st.lists(st.sampled_from(_SUBCOMMAND_OPTIONS[command]), unique=True)):
-        argv.append(f"{option}={draw(_OPTION_VALUES[option])}")  # "=": values may start with "-"
+        value = draw(_OPTION_VALUES[option])
+        if draw(st.booleans()):
+            argv.append(f"{option}={value}")
+        else:  # a negative number as its own word must not be taken for a flag
+            argv += [option, value]
     if command == "verify":  # the default cutoff 12 is too slow to draw hundreds of times
         argv.append(f"--cutoff={draw(_OPTION_VALUES['--cutoff'])}")
     elif command == "figures":
@@ -515,6 +673,21 @@ class TestExitCodes:
         code, _, err = run(capsys, "trace", "--omega", "-1")
         assert code == 2
         assert "omega" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("trace", "--omega", "-1e-3"), "omega must be finite and > 0, got -0.001"),
+            (("sample", "--t-max", "-inf"), "t_max must be finite and > 0, got -inf"),
+            (("verify", "--cutoff", "6", "--t-max", "-inf"), "need finite t_end > t_start"),
+        ],
+        ids=["trace-omega", "sample-t-max", "verify-t-max"],
+    )
+    def test_negative_value_in_exponent_form_reaches_its_check(self, argv, message, capsys):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert one_error_line(err) and message in err
 
     @pytest.mark.parametrize(
         "argv",
