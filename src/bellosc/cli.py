@@ -16,12 +16,12 @@ UTF-8, comma-delimited, with a header row and LF line endings.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from . import analytic, fock, oracle
 from .model import BellState, OscillatorIndex, SystemParams, beat_frequency, default_t_max, eta
 from .sampler import MAX_GRID_POINTS, RealizationConfig, sample_realization
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 FIGURE_COUPLINGS = (0.0, 0.2, 0.8)  # named coupling regimes: none, strong, very strong
 FIGURE_SAMPLE_COUPLING = 0.8
@@ -38,33 +38,21 @@ SWEEP_SAMPLES_PER_PERIOD = 4096
 DEFAULT_SWEEP_GRID = tuple(np.linspace(0.0, 2.0, 81))
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated bundle of every CLI knob a subcommand may consume."""
-
-    omega: float = 1.0
-    coupling: float = 0.5
-    state: BellState = BellState.PSI_PLUS
-    oscillator: OscillatorIndex = OscillatorIndex.ONE
-    t_max: float | None = None
-    steps: int = 200
-    cutoff: int = 12
-    tolerance: float = 1e-8
-    seed: int = 12345
-    format: str = "csv"
-    output: str = "-"
-    out_dir: str = "figures"
-    couplings: tuple[float, ...] | None = None
-
-    def params(self) -> SystemParams:
-        return SystemParams(omega=self.omega, coupling_ratio=self.coupling)
-
-    def resolved_t_max(self, coupling: float | None = None) -> float:
-        """Explicit --t-max, else ``model.default_t_max``: two envelope periods."""
-        if self.t_max is not None:
-            return self.t_max
-        g = self.coupling if coupling is None else coupling
-        return default_t_max(SystemParams(omega=self.omega, coupling_ratio=g))
+# Defaults of the options that every export records in its metadata, in key
+# order.  Each subparser takes them as its defaults, so a subcommand records
+# the default of an option it does not take.
+DEFAULTS = {
+    "omega": 1.0,
+    "coupling": 0.5,
+    "state": BellState.PSI_PLUS.value,
+    "oscillator": 1,
+    "t_max": None,  # two envelope periods, see _t_max
+    "steps": 200,
+    "cutoff": 12,
+    "tolerance": 1e-8,
+    "seed": 12345,
+    "format": "csv",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -284,37 +272,32 @@ def _write_json(stream, columns: dict[str, np.ndarray], metadata: dict) -> None:
     stream.write("\n  }\n}\n" if columns else "}\n}\n")
 
 
-def _emit(config: RunConfig, columns: dict[str, np.ndarray], metadata: dict) -> None:
-    if config.output == "-":
-        _dump(sys.stdout, config, columns, metadata)
-        return
-    with open(config.output, "w", newline="", encoding="utf-8") as fh:
-        _dump(fh, config, columns, metadata)
-
-
-def _dump(stream, config: RunConfig, columns, metadata) -> None:
-    if config.format == "json":
-        _write_json(stream, columns, metadata)
+def _emit(args: argparse.Namespace, columns: dict[str, np.ndarray], metadata: dict) -> None:
+    """Write ``columns`` as --format to --output, '-' meaning stdout."""
+    if args.output == "-":
+        target = contextlib.nullcontext(sys.stdout)
     else:
-        _write_csv(stream, columns)
+        target = open(args.output, "w", newline="", encoding="utf-8")
+    with target as stream:
+        if args.format == "json":
+            _write_json(stream, columns, metadata)
+        else:
+            _write_csv(stream, columns)
 
 
-def _metadata(config: RunConfig, command: str, **extra) -> dict:
-    meta = {
-        "command": command,
-        "omega": config.omega,
-        "coupling": config.coupling,
-        "state": config.state.value,
-        "oscillator": int(config.oscillator),
-        "t_max": config.resolved_t_max() if command in ("trace", "sample") else config.t_max,
-        "steps": config.steps,
-        "cutoff": config.cutoff,
-        "tolerance": config.tolerance,
-        "seed": config.seed,
-        "format": config.format,
-    }
-    meta.update(extra)
-    return meta
+def _metadata(args: argparse.Namespace, command: str, **extra) -> dict:
+    """The command, then every DEFAULTS key as parsed, then ``extra`` (which may override)."""
+    return {"command": command, **{key: getattr(args, key) for key in DEFAULTS}, **extra}
+
+
+def _t_max(args: argparse.Namespace, params: SystemParams) -> float:
+    """--t-max, else ``model.default_t_max``: two envelope periods."""
+    return default_t_max(params) if args.t_max is None else args.t_max
+
+
+def _couplings(args: argparse.Namespace) -> list[float]:
+    """--couplings, else DEFAULT_SWEEP_GRID."""
+    return [float(g) for g in args.couplings or DEFAULT_SWEEP_GRID]
 
 
 # ---------------------------------------------------------------------------
@@ -403,130 +386,120 @@ def _sample_columns(
     }
 
 
-def cmd_trace(config: RunConfig) -> int:
-    columns = _trace_columns(config.params(), config.state, config.resolved_t_max(), config.steps)
-    _emit(config, columns, _metadata(config, "trace"))
+def cmd_trace(args: argparse.Namespace) -> int:
+    params = SystemParams(args.omega, args.coupling)
+    t_max = _t_max(args, params)
+    columns = _trace_columns(params, BellState(args.state), t_max, args.steps)
+    _emit(args, columns, _metadata(args, "trace", t_max=t_max))
     return 0
 
 
-def cmd_sweep(config: RunConfig, couplings) -> int:
-    couplings = [float(g) for g in couplings]
-    columns = _sweep_columns(config.omega, config.state, couplings)
-    _emit(config, columns, _metadata(config, "sweep", couplings=couplings))
+def cmd_sweep(args: argparse.Namespace) -> int:
+    couplings = _couplings(args)
+    columns = _sweep_columns(args.omega, BellState(args.state), couplings)
+    _emit(args, columns, _metadata(args, "sweep", couplings=couplings))
     return 0
 
 
-def cmd_sample(config: RunConfig) -> int:
-    if config.steps < 2:
-        raise ValueError(f"sample needs steps >= 2, got {config.steps}")
-    columns = _sample_columns(
-        config.params(),
-        config.state,
-        config.oscillator,
-        config.seed,
-        config.resolved_t_max(),
-        config.steps,
-    )
-    _emit(config, columns, _metadata(config, "sample"))
+def cmd_sample(args: argparse.Namespace) -> int:
+    if args.steps < 2:
+        raise ValueError(f"sample needs steps >= 2, got {args.steps}")
+    params = SystemParams(args.omega, args.coupling)
+    t_max = _t_max(args, params)
+    osc = OscillatorIndex(args.oscillator)
+    columns = _sample_columns(params, BellState(args.state), osc, args.seed, t_max, args.steps)
+    _emit(args, columns, _metadata(args, "sample", t_max=t_max))
     return 0
 
 
-def cmd_figures(config: RunConfig, out_dir: str, couplings=None) -> int:
-    if config.steps < 2:
-        raise ValueError(f"figures need steps >= 2, got {config.steps}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    sweep_grid = [float(g) for g in (couplings if couplings else DEFAULT_SWEEP_GRID)]
-    t_max = config.t_max if config.t_max is not None else config.resolved_t_max(
-        coupling=min(g for g in FIGURE_COUPLINGS if g > 0)
-    ) / 2.0  # one full period of the slowest oscillating curve
-    index = []
+def cmd_figures(args: argparse.Namespace) -> int:
+    if args.steps < 2:
+        raise ValueError(f"figures need steps >= 2, got {args.steps}")
+    state = BellState(args.state)
+    if args.t_max is None:  # one full period of the slowest oscillating curve
+        slowest = SystemParams(args.omega, min(g for g in FIGURE_COUPLINGS if g > 0))
+        t_max = default_t_max(slowest) / 2.0
+    else:
+        t_max = args.t_max
 
-    def save(name: str, columns: dict, description: dict) -> None:
-        path = out / name
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            _write_csv(fh, columns)
-        index.append({"file": name, **description})
-
-    save(
-        "fig1.csv",
-        _sweep_columns(config.omega, config.state, sweep_grid),
-        {
-            "figure": 1,
-            "quantity": "relative envelope frequency and period statistics vs coupling",
-            "state": config.state.value,
-        },
-    )
-
-    sample_params = SystemParams(omega=config.omega, coupling_ratio=FIGURE_SAMPLE_COUPLING)
-    save(
-        "fig2.csv",
-        _sample_columns(
-            sample_params, config.state, OscillatorIndex.ONE, config.seed, t_max, config.steps
+    # Every file's columns are built before the first file is written, so a
+    # config error leaves no partial result.  The traces come first, so their
+    # grid guard rejects --steps before the sample allocates it; each keeps
+    # only the columns that fig3-fig6 plot.
+    traces = {}
+    for g in FIGURE_COUPLINGS:
+        columns = _trace_columns(SystemParams(args.omega, g), state, t_max, args.steps)
+        times = columns["t"]  # the same grid at every coupling
+        traces[g] = {name: columns[name] for name in ("dx1", "dp1", "up1", "up2")}
+    sample_params = SystemParams(args.omega, FIGURE_SAMPLE_COUPLING)
+    files = [
+        (
+            "fig1.csv",
+            _sweep_columns(args.omega, state, _couplings(args)),
+            {
+                "figure": 1,
+                "quantity": "relative envelope frequency and period statistics vs coupling",
+                "state": args.state,
+            },
         ),
-        {
-            "figure": 2,
-            "quantity": "one seeded realization of the oscillator-1 coordinate fluctuations",
-            "state": config.state.value,
-            "coupling": FIGURE_SAMPLE_COUPLING,
-            "seed": config.seed,
-        },
-    )
-
-    per_figure = [
-        ("fig3.csv", 3, "dx1", "normalized coordinate fluctuation amplitude, oscillator 1"),
-        ("fig4.csv", 4, "dp1", "normalized momentum fluctuation amplitude, oscillator 1"),
-        ("fig5.csv", 5, "up1", "normalized uncertainty product, oscillator 1"),
-        ("fig6.csv", 6, "up2", "normalized uncertainty product, oscillator 2"),
+        (
+            "fig2.csv",
+            _sample_columns(
+                sample_params, state, OscillatorIndex.ONE, args.seed, t_max, args.steps
+            ),
+            {
+                "figure": 2,
+                "quantity": "one seeded realization of the oscillator-1 coordinate fluctuations",
+                "state": args.state,
+                "coupling": FIGURE_SAMPLE_COUPLING,
+                "seed": args.seed,
+            },
+        ),
     ]
-    traces = {
-        g: _trace_columns(
-            SystemParams(omega=config.omega, coupling_ratio=g), config.state, t_max, config.steps
-        )
-        for g in FIGURE_COUPLINGS
-    }
-    for name, number, column, description in per_figure:
-        columns = {"t": traces[FIGURE_COUPLINGS[0]]["t"]}
-        for g in FIGURE_COUPLINGS:
-            columns[f"{column}_g{g:g}"] = traces[g][column]
-        save(
-            name,
-            columns,
-            {
-                "figure": number,
-                "quantity": description,
-                "state": config.state.value,
-                "couplings": list(FIGURE_COUPLINGS),
-            },
-        )
+    for number, column, description in (
+        (3, "dx1", "normalized coordinate fluctuation amplitude, oscillator 1"),
+        (4, "dp1", "normalized momentum fluctuation amplitude, oscillator 1"),
+        (5, "up1", "normalized uncertainty product, oscillator 1"),
+        (6, "up2", "normalized uncertainty product, oscillator 2"),
+    ):
+        columns = {"t": times, **{f"{column}_g{g:g}": traces[g][column] for g in FIGURE_COUPLINGS}}
+        entry = {
+            "figure": number,
+            "quantity": description,
+            "state": args.state,
+            "couplings": list(FIGURE_COUPLINGS),
+        }
+        files.append((f"fig{number}.csv", columns, entry))
 
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, columns, _ in files:
+        with open(out / name, "w", newline="", encoding="utf-8") as fh:
+            _write_csv(fh, columns)
+    index = {
+        "omega": args.omega,
+        "state": args.state,
+        "t_max": t_max,
+        "steps": args.steps,
+        "files": [{"file": name, **entry} for name, _, entry in files],
+    }
     with open(out / "index.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "omega": config.omega,
-                "state": config.state.value,
-                "t_max": t_max,
-                "steps": config.steps,
-                "files": index,
-            },
-            fh,
-            indent=2,
-        )
+        json.dump(index, fh, indent=2)
         fh.write("\n")
-    print(f"wrote {len(index)} figure data files and index.json to {out}")
+    print(f"wrote {len(files)} figure data files and index.json to {out}")
     return 0
 
 
-def cmd_verify(config: RunConfig) -> int:
-    tol = config.tolerance
+def cmd_verify(args: argparse.Namespace) -> int:
+    tol = args.tolerance
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
-    params = config.params()
-    basis = fock.TwoModeBasis(config.cutoff)
-    if basis.dim * config.steps > MAX_GRID_POINTS:
+    params = SystemParams(args.omega, args.coupling)
+    basis = fock.TwoModeBasis(args.cutoff)
+    if basis.dim * args.steps > MAX_GRID_POINTS:
         raise ValueError(
-            f"--steps {config.steps} at --cutoff {config.cutoff} would evolve "
-            f"{basis.dim} x {config.steps} amplitudes, over the {MAX_GRID_POINTS:.0e} guard"
+            f"--steps {args.steps} at --cutoff {args.cutoff} would evolve "
+            f"{basis.dim} x {args.steps} amplitudes, over the {MAX_GRID_POINTS:.0e} guard"
         )
     # The probe solves its own system; running it first keeps one alive at a time.
     accepted, rejected = oracle.cross_momentum_scaling_probe(params, basis, tol)
@@ -536,7 +509,7 @@ def cmd_verify(config: RunConfig) -> int:
     checks.extend(oracle.commutator_check(system))
     checks.extend(oracle.table1_check(system, tol))
     checks.append(accepted)
-    check_time = 1.0 / config.omega
+    check_time = 1.0 / args.omega
     checks.append(
         oracle.heisenberg_evolution_check(system, check_time, tol, canonical_momentum=True)
     )
@@ -544,9 +517,9 @@ def cmd_verify(config: RunConfig) -> int:
         system, check_time, tol, canonical_momentum=False
     )
 
-    t_max = config.resolved_t_max()
+    t_max = _t_max(args, params)
     for state in (BellState.PSI_PLUS, BellState.PSI_MINUS):
-        closed = analytic.trace(params, state, 0.0, t_max, config.steps)  # validates t_max
+        closed = analytic.trace(params, state, 0.0, t_max, args.steps)  # validates t_max
         evolved = oracle.evolve_expectations(system, state, closed.times)
         dev = max(
             float(np.max(np.abs(getattr(closed, col) - getattr(evolved, col))))
@@ -554,7 +527,7 @@ def cmd_verify(config: RunConfig) -> int:
         )
         checks.append(
             oracle.OracleReport.compare(
-                f"trace-match[{state.value}] max dev, {config.steps} pts", 0.0, dev, tol
+                f"trace-match[{state.value}] max dev, {args.steps} pts", 0.0, dev, tol
             )
         )
 
@@ -572,42 +545,6 @@ def cmd_verify(config: RunConfig) -> int:
 # argument parsing
 
 
-def _add_physics_args(p: argparse.ArgumentParser, coupling: bool = True) -> None:
-    p.add_argument("--omega", type=float, default=1.0, help="base angular frequency (default 1)")
-    if coupling:
-        p.add_argument(
-            "--coupling", type=float, default=0.5, help="coupling ratio g (default 0.5)"
-        )
-
-
-def _add_state_args(p: argparse.ArgumentParser, oscillator: bool = False) -> None:
-    p.add_argument(
-        "--state",
-        choices=[s.value for s in BellState],
-        default=BellState.PSI_PLUS.value,
-        help="entangled state (default psi-plus)",
-    )
-    if oscillator:
-        p.add_argument(
-            "--oscillator", type=int, choices=[1, 2], default=1, help="oscillator (default 1)"
-        )
-
-
-def _add_grid_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--t-max",
-        type=float,
-        default=None,
-        help="grid end time (default: two envelope periods)",
-    )
-    p.add_argument("--steps", type=int, default=200, help="number of grid points (default 200)")
-
-
-def _add_output_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=["csv", "json"], default="csv", help="output format")
-    p.add_argument("--output", default="-", help="output path, '-' for stdout (default)")
-
-
 def _parse_couplings(text: str) -> tuple[float, ...]:
     try:
         values = tuple(float(part) for part in text.split(",") if part.strip() != "")
@@ -616,6 +553,32 @@ def _parse_couplings(text: str) -> tuple[float, ...]:
     if not values:
         raise argparse.ArgumentTypeError("couplings list must be nonempty")
     return values
+
+
+# add_argument keywords of every option; the defaults of the DEFAULTS keys come
+# from the subparser (see build_parser).
+_OPTIONS = {
+    "--omega": {"type": float, "help": "base angular frequency (default %(default)g)"},
+    "--coupling": {"type": float, "help": "coupling ratio g (default %(default)s)"},
+    "--state": {
+        "choices": [s.value for s in BellState],
+        "help": "entangled state (default %(default)s)",
+    },
+    "--oscillator": {"type": int, "choices": [1, 2], "help": "oscillator (default %(default)s)"},
+    "--cutoff": {"type": int, "help": "Fock cutoff per oscillator (default %(default)s)"},
+    # Written out: %(default)g would print 1e-08.
+    "--tolerance": {"type": float, "help": "check tolerance (default 1e-8)"},
+    "--t-max": {"type": float, "help": "grid end time (default: two envelope periods)"},
+    "--steps": {"type": int, "help": "number of grid points (default %(default)s)"},
+    "--seed": {"type": int, "help": "RNG seed (default %(default)s)"},
+    "--couplings": {
+        "type": _parse_couplings,
+        "help": "comma-separated coupling ratios (default 0..2 in steps of 0.025)",
+    },
+    "--format": {"choices": ["csv", "json"], "help": "output format"},
+    "--output": {"default": "-", "help": "output path, '-' for stdout (default)"},
+    "--out-dir": {"default": "figures", "help": "output directory (default ./figures)"},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -627,72 +590,55 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="run the oracle suite against the closed forms")
-    _add_physics_args(p)
-    p.add_argument("--cutoff", type=int, default=12, help="Fock cutoff per oscillator (default 12)")
-    p.add_argument("--tolerance", type=float, default=1e-8, help="check tolerance (default 1e-8)")
-    _add_grid_args(p)
-    p.set_defaults(handler=lambda cfg, args: cmd_verify(cfg))
-
-    p = sub.add_parser("trace", help="export amplitude and uncertainty-product columns")
-    _add_physics_args(p)
-    _add_state_args(p)
-    _add_grid_args(p)
-    _add_output_args(p)
-    p.set_defaults(handler=lambda cfg, args: cmd_trace(cfg))
-
-    p = sub.add_parser("sweep", help="export period statistics across couplings")
-    _add_physics_args(p, coupling=False)
-    _add_state_args(p)
-    p.add_argument(
-        "--couplings",
-        type=_parse_couplings,
-        default=None,
-        help="comma-separated coupling ratios (default 0..2 in steps of 0.025)",
-    )
-    _add_output_args(p)
-    p.set_defaults(
-        handler=lambda cfg, args: cmd_sweep(
-            cfg, args.couplings if args.couplings else DEFAULT_SWEEP_GRID
-        )
-    )
-
-    p = sub.add_parser("sample", help="export one seeded stochastic realization")
-    _add_physics_args(p)
-    _add_state_args(p, oscillator=True)
-    _add_grid_args(p)
-    p.add_argument("--seed", type=int, default=12345, help="RNG seed (default 12345)")
-    _add_output_args(p)
-    p.set_defaults(handler=lambda cfg, args: cmd_sample(cfg))
-
-    p = sub.add_parser("figures", help="write the standard figure data files")
-    _add_physics_args(p, coupling=False)
-    _add_state_args(p)
-    _add_grid_args(p)
-    p.add_argument("--seed", type=int, default=12345, help="RNG seed for fig2 (default 12345)")
-    p.add_argument(
-        "--couplings", type=_parse_couplings, default=None, help="fig1 sweep couplings"
-    )
-    p.add_argument("--out-dir", default="figures", help="output directory (default ./figures)")
-    p.set_defaults(handler=lambda cfg, args: cmd_figures(cfg, args.out_dir, args.couplings))
-
+    physics, output = ["--omega", "--coupling"], ["--format", "--output"]
+    grid = ["--t-max", "--steps"]
+    # name, handler, summary, options in help order, help texts that differ from _OPTIONS
+    for name, handler, summary, options, helps in (
+        (
+            "verify",
+            cmd_verify,
+            "run the oracle suite against the closed forms",
+            [*physics, "--cutoff", "--tolerance", *grid],
+            {},
+        ),
+        (
+            "trace",
+            cmd_trace,
+            "export amplitude and uncertainty-product columns",
+            [*physics, "--state", *grid, *output],
+            {},
+        ),
+        (
+            "sweep",
+            cmd_sweep,
+            "export period statistics across couplings",
+            ["--omega", "--state", "--couplings", *output],
+            {},
+        ),
+        (
+            "sample",
+            cmd_sample,
+            "export one seeded stochastic realization",
+            [*physics, "--state", "--oscillator", *grid, "--seed", *output],
+            {},
+        ),
+        (
+            "figures",
+            cmd_figures,
+            "write the standard figure data files",
+            ["--omega", "--state", *grid, "--seed", "--couplings", "--out-dir"],
+            {
+                "--seed": "RNG seed for fig2 (default %(default)s)",
+                "--couplings": "fig1 sweep couplings",
+            },
+        ),
+    ):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler, **DEFAULTS)  # before add_argument, which reads them
+        for option in options:
+            spec = _OPTIONS[option]
+            p.add_argument(option, **{**spec, "help": helps.get(option, spec["help"])})
     return parser
-
-
-_PLAIN_CONFIG_FIELDS = (
-    "omega", "coupling", "t_max", "steps", "cutoff",
-    "tolerance", "seed", "format", "output", "out_dir",
-)
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    kwargs = {name: getattr(args, name) for name in _PLAIN_CONFIG_FIELDS if hasattr(args, name)}
-    if hasattr(args, "state"):
-        kwargs["state"] = BellState(args.state)
-    if hasattr(args, "oscillator"):
-        kwargs["oscillator"] = OscillatorIndex(args.oscillator)
-    return RunConfig(**kwargs)
 
 
 # A negative number, including the forms argparse would take for a flag: -1e-3, -inf, -nan.
@@ -726,8 +672,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(_attach_negative_values(argv))
     try:
-        config = _config_from_args(args)
-        return args.handler(config, args)
+        return args.handler(args)
     except (ValueError, fock.ConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

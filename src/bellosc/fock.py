@@ -29,8 +29,6 @@ __all__ = [
     "OperatorMatrix",
     "SolvedSystem",
     "TwoModeBasis",
-    "ladder_matrices",
-    "quadrature_matrices",
     "bare_quadratures",
     "normal_mode_quadratures",
     "coupled_hamiltonian",
@@ -121,31 +119,17 @@ class TwoModeBasis:
         return (n1 <= keep) & (n2 <= keep)
 
 
-def ladder_matrices(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Single-mode lowering and raising matrices on levels 0..cutoff.
+def _mode_quadratures(cutoff: int, omega: float) -> tuple[np.ndarray, np.ndarray]:
+    """Position and momentum matrices of one oscillator on levels 0..cutoff.
 
-    The lowering matrix has entries sqrt(n) at positions (n - 1, n); the
-    raising matrix is its conjugate transpose.  Their commutator equals the
-    identity except for the last diagonal entry, -cutoff, a known exact
-    artifact of the truncation.
-    """
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    lowering = np.diag(np.sqrt(np.arange(1, cutoff + 1, dtype=float)), k=1)
-    return lowering, lowering.T
-
-
-def quadrature_matrices(cutoff: int, mode_freq: float) -> tuple[np.ndarray, np.ndarray]:
-    """Position and momentum matrices of a single mode at frequency mode_freq.
-
+    With the lowering matrix a (entries sqrt(n) at (n - 1, n)),
     X = (a^dag + a) / sqrt(2 w) and P = i sqrt(w / 2) (a^dag - a), both
-    Hermitian (hbar = 1): X is real and P purely imaginary.
+    Hermitian (hbar = 1): X is real and P purely imaginary.  Truncation makes
+    [a, a^dag] the identity except for its last diagonal entry, -cutoff.
     """
-    if mode_freq <= 0:
-        raise ValueError(f"mode_freq must be > 0, got {mode_freq}")
-    a, adag = ladder_matrices(cutoff)
-    x = (adag + a) / np.sqrt(2.0 * mode_freq)
-    p = 1j * np.sqrt(mode_freq / 2.0) * (adag - a)
+    a = np.diag(np.sqrt(np.arange(1, cutoff + 1, dtype=float)), k=1)
+    x = (a.T + a) / np.sqrt(2.0 * omega)
+    p = 1j * np.sqrt(omega / 2.0) * (a.T - a)
     return x, p
 
 
@@ -156,7 +140,7 @@ def bare_quadratures(
 
     Each factor is represented in its own frequency-omega number basis.
     """
-    x, p = quadrature_matrices(basis.cutoff, params.omega)
+    x, p = _mode_quadratures(basis.cutoff, params.omega)
     eye = np.eye(basis.levels)
     x1, x2, p1, p2 = (
         OperatorMatrix(m).matrix
@@ -185,7 +169,7 @@ def coupled_hamiltonian(params: SystemParams, basis: TwoModeBasis) -> np.ndarray
     and x1 x2 = kron(x, x), which equals the product of the lifted matrices.
     p^2 is real because p is purely imaginary.
     """
-    x, p = quadrature_matrices(basis.cutoff, params.omega)
+    x, p = _mode_quadratures(basis.cutoff, params.omega)
     xx, pp = x @ x, (p @ p).real
     eye = np.eye(basis.levels)
     x_sq = np.kron(xx, eye) + np.kron(eye, xx)

@@ -1,9 +1,11 @@
 """End-to-end CLI behavior: formats, exit codes, and figure data files."""
 
+import argparse
 import csv
 import io
 import json
 import math
+import re
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -13,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from bellosc import analytic, cli
 from bellosc.cli import _BLOCK_ROWS, _tokens, _write_csv, _write_json, main
-from bellosc.model import BellState, OscillatorIndex, SystemParams
+from bellosc.model import BellState, OscillatorIndex, SystemParams, default_t_max
 from bellosc.sampler import RealizationConfig, sample_realization
 
 PSI_P = BellState.PSI_PLUS
@@ -515,6 +517,113 @@ class TestVerify:
         assert all("|diff|=" in line for line in failing)
 
 
+_CHOICES = {"state": ["psi-plus", "psi-minus"], "oscillator": [1, 2], "format": ["csv", "json"]}
+_PINNED_DEFAULTS = {
+    "omega": 1.0,
+    "coupling": 0.5,
+    "state": "psi-plus",
+    "oscillator": 1,
+    "cutoff": 12,
+    "tolerance": 1e-8,
+    "t_max": None,
+    "steps": 200,
+    "seed": 12345,
+    "couplings": None,
+    "format": "csv",
+    "output": "-",
+    "out_dir": "figures",
+}
+
+
+def _options(*dests):
+    """[(dest, (default, choices))] in parser order."""
+    return [(d, (_PINNED_DEFAULTS[d], _CHOICES.get(d))) for d in dests]
+
+
+PINNED_OPTIONS = {
+    "verify": _options("omega", "coupling", "cutoff", "tolerance", "t_max", "steps"),
+    "trace": _options("omega", "coupling", "state", "t_max", "steps", "format", "output"),
+    "sweep": _options("omega", "state", "couplings", "format", "output"),
+    "sample": _options(
+        "omega", "coupling", "state", "oscillator", "t_max", "steps", "seed", "format", "output"
+    ),
+    "figures": _options("omega", "state", "t_max", "steps", "seed", "couplings", "out_dir"),
+}
+
+# Metadata of a JSON export at the option defaults, in key order; options a
+# subcommand does not take are recorded at these defaults too.
+PINNED_METADATA = {
+    "command": None,
+    "omega": 1.0,
+    "coupling": 0.5,
+    "state": "psi-plus",
+    "oscillator": 1,
+    "t_max": None,
+    "steps": 200,
+    "cutoff": 12,
+    "tolerance": 1e-08,
+    "seed": 12345,
+    "format": "json",
+}
+_DEFAULT_T_MAX = default_t_max(SystemParams(1.0, 0.5))
+_SET = ("--omega", "1.3", "--coupling", "0.7", "--state", "psi-minus", "--t-max", "9.5")
+_SET_CHANGES = {"omega": 1.3, "coupling": 0.7, "state": "psi-minus", "t_max": 9.5}
+
+
+class TestSurface:
+    """Options, defaults and export metadata that scripts and saved files rely on."""
+
+    def test_subcommand_options(self):
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == list(PINNED_OPTIONS)
+        for name, subparser in sub.choices.items():
+            options = [
+                (a.dest, (a.default, list(a.choices) if a.choices else None))
+                for a in subparser._actions
+                if a.dest != "help"
+            ]
+            assert options == PINNED_OPTIONS[name], name
+
+    def test_help_states_each_default(self):
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        stated = 0
+        for name, subparser in sub.choices.items():
+            formatter = subparser._get_formatter()
+            for action in subparser._actions:
+                match = re.search(r"\(default (\S[^)]*)\)", formatter._expand_help(action))
+                if action.dest in cli.DEFAULTS and match:
+                    text, default = match.group(1), action.default
+                    assert text == str(default) or float(text) == default, (name, action.dest)
+                    stated += 1
+        assert stated == 21
+
+    @pytest.mark.parametrize(
+        "argv, changes",
+        [
+            (("trace",), {"t_max": _DEFAULT_T_MAX}),
+            (("sample",), {"t_max": _DEFAULT_T_MAX}),
+            (("sweep",), {"couplings": [float(g) for g in np.linspace(0.0, 2.0, 81)]}),
+            (("trace", *_SET), _SET_CHANGES),
+            (
+                ("sample", *_SET, "--oscillator", "2", "--seed", "77"),
+                {**_SET_CHANGES, "oscillator": 2, "seed": 77},
+            ),
+            (
+                ("sweep", "--omega", "1.3", "--state", "psi-minus", "--couplings", "0,0.7"),
+                {"omega": 1.3, "state": "psi-minus", "couplings": [0.0, 0.7]},
+            ),
+        ],
+        ids=["trace", "sample", "sweep", "trace-set", "sample-set", "sweep-set"],
+    )
+    def test_json_metadata(self, argv, changes, capsys):
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == 0 and err == ""
+        expected = {**PINNED_METADATA, "command": argv[0], **changes}
+        assert list(json.loads(out)["metadata"].items()) == list(expected.items())
+
+
 @pytest.fixture(scope="module")
 def figure_dir(tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("figs")
@@ -567,6 +676,22 @@ class TestFigures:
                 )
                 rounded = np.array([float(f"{v:.9g}") for v in expected])
                 assert np.array_equal(cols[f"{column}_g{g:g}"], rounded)
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (("--t-max", "-1"), "-1"),
+            (("--seed", "-1"), "seed"),
+            (("--steps", "10000001"), "steps"),
+        ],
+        ids=["t-max", "seed", "steps"],
+    )
+    def test_config_error_writes_no_file(self, argv, named, tmp_path, capsys):
+        code, out, err = run(capsys, "figures", *argv, "--out-dir", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert one_error_line(err) and named in err
+        assert list(tmp_path.iterdir()) == []
 
 
 # Option values for the argv property.  --steps and --cutoff stay small, plus

@@ -9,12 +9,22 @@ from bellosc.fock import (
     ConvergenceError,
     OperatorMatrix,
     TwoModeBasis,
+    bare_quadratures,
     bell_vector,
-    ladder_matrices,
-    quadrature_matrices,
     solve,
 )
 from bellosc.model import BellState, SystemParams, eta
+
+
+def bare_ladders(params, basis):
+    """(a1, a1^dag, a2, a2^dag) from the lifted bare quadratures at w = omega:
+    a = sqrt(w/2) (x + i p / w), a^dag = sqrt(w/2) (x - i p / w)."""
+    x1, x2, p1, p2 = bare_quadratures(params, basis)
+    w = params.omega
+    out = []
+    for x, p in ((x1, p1), (x2, p2)):
+        out += [np.sqrt(w / 2.0) * (x + 1j * p / w), np.sqrt(w / 2.0) * (x - 1j * p / w)]
+    return out
 
 
 def normal_mode_ladders(system):
@@ -60,50 +70,61 @@ class TestOperatorMatrix:
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 5.0
 
+
+class TestBareLadders:
     def test_number_expectation_and_conjugate_pair(self):
-        low, raise_ = ladder_matrices(3)
-        vec = np.zeros(4, dtype=complex)
-        vec[1] = 1.0
+        basis = TwoModeBasis(3)
+        low, raise_, _, _ = bare_ladders(SystemParams(1.0, 0.0), basis)
+        vec = np.zeros(basis.dim, dtype=complex)
+        vec[basis.index(1, 0)] = 1.0
         assert np.vdot(vec, raise_ @ low @ vec) == pytest.approx(1.0)
         assert np.array_equal(low.conj().T, raise_)
 
-
-class TestLadderMatrices:
     def test_two_level_truncation(self):
-        low, _ = ladder_matrices(1)
-        assert np.array_equal(low, np.array([[0.0, 1.0], [0.0, 0.0]]))
+        # At w = 2 the rebuild is exact: x and p / w carry a factor 1/2, and sqrt(w/2) = 1.
+        basis = TwoModeBasis(3)
+        low1, _, low2, _ = bare_ladders(SystemParams(2.0, 0.0), basis)
+        for low, excited in ((low1, basis.index(1, 0)), (low2, basis.index(0, 1))):
+            pair = [basis.index(0, 0), excited]
+            assert np.array_equal(low[np.ix_(pair, pair)], [[0.0, 1.0], [0.0, 0.0]])
+        single = np.diag(np.sqrt(np.arange(1.0, basis.levels)), k=1)
+        assert np.array_equal(low1, np.kron(single, np.eye(basis.levels)))
+        assert np.array_equal(low2, np.kron(np.eye(basis.levels), single))
+
+    def test_commutator_identity_except_corner(self):
+        basis = TwoModeBasis(7)
+        low, raise_, _, _ = bare_ladders(SystemParams(1.3, 0.0), basis)
+        comm = low @ raise_ - raise_ @ low
+        single = np.eye(basis.levels)
+        single[-1, -1] = -basis.cutoff
+        assert np.allclose(comm, np.kron(single, np.eye(basis.levels)), atol=1e-13)
 
     def test_rejects_zero_cutoff(self):
         with pytest.raises(ValueError):
-            ladder_matrices(0)
-
-    def test_commutator_identity_except_corner(self):
-        cutoff = 7
-        low, raise_ = ladder_matrices(cutoff)
-        comm = low @ raise_ - raise_ @ low
-        expected = np.eye(cutoff + 1, dtype=complex)
-        expected[-1, -1] = -cutoff
-        assert np.allclose(comm, expected, atol=1e-13)
+            bare_quadratures(SystemParams(1.0, 0.0), TwoModeBasis(0))
 
 
-class TestQuadratureMatrices:
+class TestBareQuadratures:
     @pytest.mark.parametrize("w", [0.5, 1.0, 3.0])
     def test_ground_and_excited_variances(self, w):
-        x, _ = quadrature_matrices(6, w)
-        x2 = x @ x
-        assert x2[0, 0].real == pytest.approx(1.0 / (2 * w), abs=1e-14)
-        assert x2[1, 1].real == pytest.approx(3.0 / (2 * w), abs=1e-14)
+        basis = TwoModeBasis(6)
+        x1, _, _, _ = bare_quadratures(SystemParams(w, 0.0), basis)
+        x1_sq = x1 @ x1
+        ground, excited = basis.index(0, 0), basis.index(1, 0)
+        assert x1_sq[ground, ground] == pytest.approx(1.0 / (2 * w), abs=1e-14)
+        assert x1_sq[excited, excited] == pytest.approx(3.0 / (2 * w), abs=1e-14)
 
     def test_canonical_commutator_below_cutoff(self):
-        cutoff = 6
-        x, p = quadrature_matrices(cutoff, 1.3)
-        comm = x @ p - p @ x
-        sub = comm[:cutoff, :cutoff]
-        assert np.allclose(sub, 1j * np.eye(cutoff), atol=1e-13)
+        basis = TwoModeBasis(6)
+        x1, _, p1, _ = bare_quadratures(SystemParams(1.3, 0.0), basis)
+        comm = x1 @ p1 - p1 @ x1
+        below = basis.occupations()[0] < basis.cutoff
+        sub = comm[np.ix_(below, below)]
+        assert np.allclose(sub, 1j * np.eye(len(sub)), atol=1e-13)
 
     def test_rejects_nonpositive_frequency(self):
         with pytest.raises(ValueError):
-            quadrature_matrices(4, 0.0)
+            bare_quadratures(SystemParams(0.0, 0.0), TwoModeBasis(4))
 
 
 class TestTwoModeBasis:
@@ -192,10 +213,7 @@ class TestNormalModeLadders:
 
     def test_uncoupled_limit_reduces_to_bare_combination(self):
         basis = TwoModeBasis(5)
-        low, _ = ladder_matrices(basis.cutoff)
-        eye = np.eye(basis.levels)
-        a1 = np.kron(low, eye)
-        a2 = np.kron(eye, low)
+        a1, _, a2, _ = bare_ladders(SystemParams(1.0, 0.0), basis)
         a_plus, _, a_minus, _ = normal_mode_ladders(solve(SystemParams(1.0, 0.0), basis))
         assert np.max(np.abs(a_plus - (a1 + a2) / math.sqrt(2))) < 1e-12
         assert np.max(np.abs(a_minus - (a1 - a2) / math.sqrt(2))) < 1e-12
