@@ -20,11 +20,11 @@ from .model import (
     OscillatorIndex,
     SystemParams,
     beat_frequency,
+    envelope_period,
     eta,
 )
 
 __all__ = [
-    "DegenerateCouplingError",
     "FluctuationTrace",
     "PeriodStats",
     "bell_sign",
@@ -40,10 +40,6 @@ __all__ = [
 SQRT3 = math.sqrt(3.0)
 
 PRODUCT_CONSISTENCY_TOL = 1e-12
-
-
-class DegenerateCouplingError(ValueError):
-    """Raised when an operation needs a finite envelope period but the beat frequency is 0."""
 
 
 def bell_sign(state: BellState, osc: OscillatorIndex) -> int:
@@ -167,20 +163,15 @@ def period_statistics(
 ) -> PeriodStats:
     """Midpoint-rule statistics of the uncertainty product over one period.
 
-    The grid covers exactly one period 2 pi / |w_beat| uniformly; the mean
+    The grid covers one ``model.envelope_period`` uniformly; the mean
     converges to sqrt(eta) + 1/sqrt(eta) and ``fraction_below_nc`` counts grid
-    points strictly below the zero-coupling level.  Requires a nonzero beat
-    frequency: without a finite period there is no period to average over.
-    That excludes g = 0 and couplings so small that eta rounds to 1.
+    points strictly below the zero-coupling level.  Without an envelope (g = 0,
+    or eta rounding to 1) every product equals that level, so min, max and
+    mean are the level and the fraction is 0.
     """
-    if beat_frequency(params) == 0:
-        raise DegenerateCouplingError(
-            f"period statistics need a nonzero beat frequency: the envelope is constant "
-            f"at coupling_ratio {params.coupling_ratio!r}"
-        )
     if samples_per_period < 16:
         raise ValueError(f"samples_per_period must be >= 16, got {samples_per_period}")
-    period = 2.0 * math.pi / abs(beat_frequency(params))
+    period = envelope_period(params)
     times = (np.arange(samples_per_period) + 0.5) * (period / samples_per_period)
     products = uncertainty_product(params, state, osc, times)
     baseline = baseline_nc(state, osc)[1]

@@ -27,7 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, fock, oracle
-from .model import BellState, OscillatorIndex, SystemParams, beat_frequency, default_t_max, eta
+from .model import (
+    BellState, OscillatorIndex, SystemParams, beat_frequency, default_t_max, envelope_period, eta,
+)
 from .sampler import MAX_GRID_POINTS, RealizationConfig, sample_realization
 
 __all__ = ["main"]
@@ -331,15 +333,6 @@ def _trace_columns(
     }
 
 
-def _pair_stats(params: SystemParams, state: BellState, osc: OscillatorIndex):
-    """(min, max, mean, fraction_below) of one uncertainty product over a period."""
-    if beat_frequency(params) == 0:
-        level = analytic.baseline_nc(state, osc)[1]
-        return level, level, level, 0.0
-    st = analytic.period_statistics(params, state, osc, SWEEP_SAMPLES_PER_PERIOD)
-    return st.min_product, st.max_product, st.mean_product, st.fraction_below_nc
-
-
 def _sweep_columns(
     omega: float, state: BellState, couplings: list[float]
 ) -> dict[str, np.ndarray]:
@@ -348,9 +341,11 @@ def _sweep_columns(
     params = [SystemParams(omega=omega, coupling_ratio=g) for g in couplings]
     rows = []
     for p in params:
-        stats1 = _pair_stats(p, state, OscillatorIndex.ONE)
-        stats2 = _pair_stats(p, state, OscillatorIndex.TWO)
-        rows.append((p.coupling_ratio, eta(p), abs(beat_frequency(p)) / omega, *stats1, *stats2))
+        row = [p.coupling_ratio, eta(p), abs(beat_frequency(p)) / omega]
+        for osc in (OscillatorIndex.ONE, OscillatorIndex.TWO):
+            st = analytic.period_statistics(p, state, osc, SWEEP_SAMPLES_PER_PERIOD)
+            row += [st.min_product, st.max_product, st.mean_product, st.fraction_below_nc]
+        rows.append(row)
     data = np.asarray(rows, dtype=float)
     names = (
         "coupling",
@@ -418,7 +413,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
     state = BellState(args.state)
     if args.t_max is None:  # one full period of the slowest oscillating curve
         slowest = SystemParams(args.omega, min(g for g in FIGURE_COUPLINGS if g > 0))
-        t_max = default_t_max(slowest) / 2.0
+        t_max = envelope_period(slowest)
     else:
         t_max = args.t_max
 
@@ -509,13 +504,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     checks.extend(oracle.commutator_check(system))
     checks.extend(oracle.table1_check(system, tol))
     checks.append(accepted)
-    check_time = 1.0 / args.omega
-    checks.append(
-        oracle.heisenberg_evolution_check(system, check_time, tol, canonical_momentum=True)
-    )
-    noncanonical = oracle.heisenberg_evolution_check(
-        system, check_time, tol, canonical_momentum=False
-    )
+    canonical, noncanonical = oracle.heisenberg_evolution_check(system, 1.0 / args.omega, tol)
+    checks.append(canonical)
 
     t_max = _t_max(args, params)
     for state in (BellState.PSI_PLUS, BellState.PSI_MINUS):

@@ -114,11 +114,16 @@ def beat_frequency(params: SystemParams) -> float:
     return mode_frequency(params, ModeIndex.PLUS) - mode_frequency(params, ModeIndex.MINUS)
 
 
-def default_t_max(params: SystemParams) -> float:
-    """Two envelope periods 4 pi / |w_beat|, the default end of every time grid.
+def envelope_period(params: SystemParams) -> float:
+    """One envelope period 2 pi / |w_beat|.
 
     Without an envelope (g = 0, or a coupling so small that eta rounds to 1
-    and the beat frequency to 0) it is two base periods 4 pi / omega instead.
+    and the beat frequency to 0) it is one base period 2 pi / omega instead.
     """
     beat = abs(beat_frequency(params))
-    return 2.0 * (2.0 * math.pi / (beat if beat > 0 else params.omega))
+    return 2.0 * math.pi / (beat if beat > 0 else params.omega)
+
+
+def default_t_max(params: SystemParams) -> float:
+    """Two envelope periods, the default end of every time grid."""
+    return 2.0 * envelope_period(params)

@@ -243,8 +243,7 @@ def test_criterion_10_momentum_evolution_adjudication(capsys):
     params = SystemParams(1.0, 0.5)
     basis = TwoModeBasis(12)
     system = solve(params, basis)
-    good = heisenberg_evolution_check(system, 1.0, 1e-8, canonical_momentum=True)
-    bad = heisenberg_evolution_check(system, 1.0, 1e-8, canonical_momentum=False)
+    good, bad = heisenberg_evolution_check(system, 1.0, 1e-8)
 
     code = cli.main(["verify"])
     out = capsys.readouterr().out

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bellosc.analytic import (
-    DegenerateCouplingError,
     FluctuationTrace,
     baseline_nc,
     bell_sign,
@@ -167,9 +166,15 @@ class TestBaseline:
 
 class TestPeriodStatistics:
     @pytest.mark.parametrize("g", [0.0, 1e-300])
-    def test_rejects_zero_coupling(self, g):
-        with pytest.raises(DegenerateCouplingError):
-            period_statistics(SystemParams(1.0, g), PSI_P, OSC1, 64)
+    @pytest.mark.parametrize("state", [PSI_P, PSI_M])
+    @pytest.mark.parametrize("osc", [OSC1, OSC2])
+    def test_zero_envelope_reports_the_nc_level(self, g, state, osc):
+        # no envelope: every product is exactly its non-coupled level
+        stats = period_statistics(SystemParams(1.0, g), state, osc, 64)
+        level = baseline_nc(state, osc)[1]
+        assert stats.nc_baseline == level
+        assert stats.min_product == stats.max_product == stats.mean_product == level
+        assert stats.fraction_below_nc == 0.0
 
     def test_rejects_coarse_grid(self):
         with pytest.raises(ValueError):

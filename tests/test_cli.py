@@ -825,7 +825,7 @@ class TestExitCodes:
         ids=["verify", "trace", "sample", "sweep"],
     )
     def test_coupling_too_small_to_beat_runs_like_zero(self, argv, capsys):
-        # eta rounds to 1 and the beat frequency to 0: no envelope period exists
+        # eta rounds to 1 and the beat frequency to 0: no envelope, as at g = 0
         if argv[0] != "sweep":
             argv = (*argv, "--coupling", "1e-300")
         code, _, err = run(capsys, *argv)

@@ -13,6 +13,7 @@ from bellosc.model import (
     SystemParams,
     beat_frequency,
     default_t_max,
+    envelope_period,
     eta,
     mode_frequency,
 )
@@ -136,3 +137,18 @@ class TestBeatFrequency:
     def test_magnitude_below_omega_for_subunit_coupling(self, w, g):
         params = SystemParams(w, g)
         assert abs(beat_frequency(params)) < params.omega
+
+
+class TestEnvelopePeriod:
+    @pytest.mark.parametrize("g", [0.0, 1e-300])
+    def test_base_period_without_envelope(self, g):
+        assert envelope_period(SystemParams(3.0, g)) == 2.0 * math.pi / 3.0
+
+    def test_beat_period_with_envelope(self):
+        params = SystemParams(1.0, 1.0)
+        assert envelope_period(params) == 2.0 * math.pi / (math.sqrt(3.0) - 1.0)
+
+    @given(w=omegas, g=couplings)
+    def test_default_t_max_is_two_periods(self, w, g):
+        params = SystemParams(w, g)
+        assert default_t_max(params) == 2.0 * envelope_period(params)

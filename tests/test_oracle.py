@@ -123,47 +123,54 @@ class TestCommutators:
 class TestHeisenbergEvolution:
     def test_identity_at_time_zero(self):
         system = solve(SystemParams(1.0, 0.5), TwoModeBasis(8))
-        report = heisenberg_evolution_check(system, 0.0, 1e-12)
-        assert report.abs_diff < 1e-13
+        accepted, rejected = heisenberg_evolution_check(system, 0.0, 1e-12)
+        assert accepted.abs_diff < 1e-13
+        assert rejected.abs_diff < 1e-13  # the sine terms vanish, so both laws agree
+
+    def test_reports_are_labelled_by_law(self):
+        system = solve(SystemParams(1.0, 0.5), TwoModeBasis(8))
+        accepted, rejected = heisenberg_evolution_check(system, 1.0, 1e-8)
+        assert accepted.label == "evolution[canonical] max dev (n1+n2<=2) at t=1"
+        assert rejected.label == "evolution[non-canonical] max dev (n1+n2<=2) at t=1"
 
     def test_canonical_form_passes(self):
         system = solve(SystemParams(1.0, 0.5), TwoModeBasis(12))
-        report = heisenberg_evolution_check(system, 1.0, 1e-8)
-        assert report.passed, report.line()
+        accepted, _ = heisenberg_evolution_check(system, 1.0, 1e-8)
+        assert accepted.passed, accepted.line()
 
     def test_noncanonical_variant_fails_at_order_one(self):
-        report = heisenberg_evolution_check(
-            solve(SystemParams(1.0, 0.5), TwoModeBasis(12)), 1.0, 1e-8, canonical_momentum=False
+        _, rejected = heisenberg_evolution_check(
+            solve(SystemParams(1.0, 0.5), TwoModeBasis(12)), 1.0, 1e-8
         )
-        assert not report.passed
-        assert report.abs_diff > 0.1
+        assert not rejected.passed
+        assert rejected.abs_diff > 0.1
 
-    @pytest.mark.parametrize("canonical", [True, False])
-    def test_matches_dense_operator_conjugation(self, canonical):
+    def test_matches_dense_operator_conjugation(self):
         # the check forms only the n1+n2<=2 columns of U(t); conjugating whole
-        # matrices must give the same deviation
+        # matrices must give the same deviation for both laws
         basis, t = TwoModeBasis(10), 0.9
         system = solve(SystemParams(1.0, 0.8), basis)
-        report = heisenberg_evolution_check(system, t, 1e-8, canonical_momentum=canonical)
+        reports = heisenberg_evolution_check(system, t, 1e-8)
         u = (system.vectors * np.exp(-1j * system.energies * t)) @ system.vectors.T
         idx = np.ix_(basis.mask_total_at_most(2), basis.mask_total_at_most(2))
-        dev = 0.0
-        for x, p, w in system.normal_modes():
-            c, s = math.cos(w * t), math.sin(w * t)
-            sine_op = x if canonical else p
-            dev = max(
-                dev,
-                np.max(np.abs((u.conj().T @ x @ u - x * c - p * (s / w))[idx])),
-                np.max(np.abs((u.conj().T @ p @ u - p * c + w * sine_op * s)[idx])),
-            )
-        assert report.abs_diff == pytest.approx(dev, abs=1e-13)
+        for report, canonical in zip(reports, (True, False)):
+            dev = 0.0
+            for x, p, w in system.normal_modes():
+                c, s = math.cos(w * t), math.sin(w * t)
+                sine_op = x if canonical else p
+                dev = max(
+                    dev,
+                    np.max(np.abs((u.conj().T @ x @ u - x * c - p * (s / w))[idx])),
+                    np.max(np.abs((u.conj().T @ p @ u - p * c + w * sine_op * s)[idx])),
+                )
+            assert report.abs_diff == pytest.approx(dev, abs=1e-13)
 
     def test_strong_coupling_converges_with_cutoff(self):
         # operator conjugation feels truncation harder than state expectations:
         # 2.2e-5 at cutoff 12 for g=0.8, geometric decay after that
         params = SystemParams(1.0, 0.8)
-        coarse = heisenberg_evolution_check(solve(params, TwoModeBasis(12)), 1.0, 1e-8)
-        fine = heisenberg_evolution_check(solve(params, TwoModeBasis(20)), 1.0, 1e-8)
+        coarse, _ = heisenberg_evolution_check(solve(params, TwoModeBasis(12)), 1.0, 1e-8)
+        fine, _ = heisenberg_evolution_check(solve(params, TwoModeBasis(20)), 1.0, 1e-8)
         assert fine.abs_diff < 1e-8
         assert fine.abs_diff < coarse.abs_diff / 100
 
