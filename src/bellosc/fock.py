@@ -2,8 +2,9 @@
 
 The verification oracle represents every observable as a dense matrix in the
 product number basis |n1, n2> of the two bare oscillators (each factor built
-at the natural frequency omega), diagonalizes the coupled Hamiltonian exactly,
-and prepares the entangled states from the numerical ground state.  No
+at the basis frequency det(K)^(1/4), see :func:`basis_frequency`),
+diagonalizes the coupled Hamiltonian exactly, and prepares the entangled
+states from the numerical ground state.  No
 closed-form amplitude result enters; the one model input is the pair of
 normal-mode frequencies omega and eta * omega (``model.mode_frequency``) at
 which the Bell-state ladder operators are built.
@@ -18,6 +19,7 @@ the cutoff.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,7 @@ __all__ = [
     "OperatorMatrix",
     "SolvedSystem",
     "TwoModeBasis",
+    "basis_frequency",
     "bare_quadratures",
     "normal_mode_quadratures",
     "coupled_hamiltonian",
@@ -119,6 +122,21 @@ class TwoModeBasis:
         return (n1 <= keep) & (n2 <= keep)
 
 
+def basis_frequency(params: SystemParams) -> float:
+    """Frequency det(K)^(1/4) at which each oscillator's number basis is built.
+
+    K is the stiffness matrix read off the Hamiltonian: w^2 + W^2 on the
+    diagonal and -W^2 off it (W = g * w), so det(K) = w^2 (w^2 + 2 W^2).  Its
+    fourth root lies between the two normal-mode frequencies, so the
+    truncated basis keeps more of the coupled ground state than one built at
+    w.  Taken as sqrt(w * hypot(w, W, W)): finite for every accepted
+    ``SystemParams``, and exactly w at g = 0.
+    """
+    w = params.omega
+    big_omega = params.coupling_ratio * w
+    return math.sqrt(w * math.hypot(w, big_omega, big_omega))
+
+
 def _mode_quadratures(cutoff: int, omega: float) -> tuple[np.ndarray, np.ndarray]:
     """Position and momentum matrices of one oscillator on levels 0..cutoff.
 
@@ -138,9 +156,10 @@ def bare_quadratures(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Bare coordinates and momenta (x1, x2, p1, p2) on the product space.
 
-    Each factor is represented in its own frequency-omega number basis.
+    Each factor is represented in its own number basis at
+    :func:`basis_frequency`.
     """
-    x, p = _mode_quadratures(basis.cutoff, params.omega)
+    x, p = _mode_quadratures(basis.cutoff, basis_frequency(params))
     eye = np.eye(basis.levels)
     x1, x2, p1, p2 = (
         OperatorMatrix(m).matrix
@@ -167,9 +186,10 @@ def coupled_hamiltonian(params: SystemParams, basis: TwoModeBasis) -> np.ndarray
     W = g * w is the coupling strength.  Every square is the truncated
     single-mode product lifted onto the product space, x1^2 = kron(x @ x, 1)
     and x1 x2 = kron(x, x), which equals the product of the lifted matrices.
-    p^2 is real because p is purely imaginary.
+    p^2 is real because p is purely imaginary.  Both factors use the number
+    basis of :func:`bare_quadratures`.
     """
-    x, p = _mode_quadratures(basis.cutoff, params.omega)
+    x, p = _mode_quadratures(basis.cutoff, basis_frequency(params))
     xx, pp = x @ x, (p @ p).real
     eye = np.eye(basis.levels)
     x_sq = np.kron(xx, eye) + np.kron(eye, xx)

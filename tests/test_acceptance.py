@@ -2,9 +2,15 @@
 
 Each test prints a single verdict line; run ``pytest -s tests/test_acceptance.py``
 to see them.  Criteria 1 and 12 probe truncated-basis convergence at strong
-coupling; the bare-oscillator product basis does not reach the stated
-tolerances there (the verdict lines carry the measured numbers), and the
-corresponding asserts are kept strict rather than loosened.
+coupling.  With each oscillator's number basis built at det(K)^(1/4)
+(``fock.basis_frequency``), criterion 1 passes: the worst table error at
+cutoff 12 is 8.2e-14, at g = 1.5.  Criterion 12 does not: one cutoff-8 to
+cutoff-16 drift, the table at g = 1.5, stays at 1.0e-8 against its 1e-9
+gate, while every other drift is at most 2.9e-11.  That drift is the table
+error of cutoff 8 itself: the coupled ground state is two-mode squeezed, which
+no product basis of independent oscillators captures at so few levels.  The
+verdict lines carry the measured numbers, and the assert is kept strict
+rather than loosened.
 """
 
 import math

@@ -10,6 +10,7 @@ from bellosc.fock import (
     OperatorMatrix,
     TwoModeBasis,
     bare_quadratures,
+    basis_frequency,
     bell_vector,
     solve,
 )
@@ -125,6 +126,37 @@ class TestBareQuadratures:
     def test_rejects_nonpositive_frequency(self):
         with pytest.raises(ValueError):
             bare_quadratures(SystemParams(0.0, 0.0), TwoModeBasis(4))
+
+
+class TestBasisFrequency:
+    @pytest.mark.parametrize("w", [0.3, 1.0, 2.0, 7.0, 1e-150, 1e150])
+    def test_is_omega_without_coupling(self, w):
+        assert basis_frequency(SystemParams(w, 0.0)) == w
+
+    @pytest.mark.parametrize("w, g", [(1.0, 0.5), (2.0, 1.5), (0.3, 4.0)])
+    def test_is_fourth_root_of_stiffness_determinant(self, w, g):
+        big2 = (g * w) ** 2
+        stiffness = np.array([[w**2 + big2, -big2], [-big2, w**2 + big2]])
+        expected = np.linalg.det(stiffness) ** 0.25
+        assert basis_frequency(SystemParams(w, g)) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "w, g",
+        [
+            (2.1351131965027632e144, 4440397784.828598),
+            (5.40012882937477e34, 1.7556529126744672e119),
+        ],
+    )
+    def test_finite_where_the_squared_form_overflows(self, w, g):
+        # accepted parameters at which sqrt(w) * (w^2 + 2 (g w)^2)^(1/4) overflows
+        assert math.isfinite(basis_frequency(SystemParams(w, g)))
+
+    def test_bare_quadratures_are_built_at_it(self):
+        params, basis = SystemParams(1.0, 1.5), TwoModeBasis(4)
+        x1, _, _, _ = bare_quadratures(params, basis)
+        ground = basis.index(0, 0)
+        expected = 1.0 / (2.0 * basis_frequency(params))
+        assert (x1 @ x1)[ground, ground] == pytest.approx(expected, rel=1e-14)
 
 
 class TestTwoModeBasis:
