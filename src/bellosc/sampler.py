@@ -39,9 +39,12 @@ class RealizationConfig:
             raise ValueError(f"t_max must be finite and > 0, got {self.t_max!r}")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
-        if self.t_max / self.dt > MAX_GRID_POINTS:
+        # grid() holds floor(t_max/dt + 1e-9) + 1 points, which is more than
+        # MAX_GRID_POINTS exactly when t_max/dt + 1e-9 reaches it (an integer).
+        if self.t_max / self.dt + 1e-9 >= MAX_GRID_POINTS:
             raise ValueError(
-                f"t_max/dt = {self.t_max / self.dt:.3g} exceeds the {MAX_GRID_POINTS:.0e} point guard"
+                f"t_max/dt = {self.t_max / self.dt:.9g} steps give more grid points "
+                f"than the {MAX_GRID_POINTS:.0e} point guard"
             )
 
     def grid(self) -> np.ndarray:

@@ -447,6 +447,13 @@ class TestSample:
         violations = np.sum(np.abs(cols["sample"]) > 4.0 * cols["envelope_plus"])
         assert violations / len(cols["sample"]) < 1e-4
 
+    def test_steps_above_grid_guard_is_config_error(self, capsys):
+        # 10^7 + 1 grid points, one more than trace accepts; rejected before any allocation
+        code, out, err = run(capsys, "sample", "--steps", "10000001")
+        assert code == 2
+        assert out == ""
+        assert one_error_line(err) and "point guard" in err
+
     def test_json_output(self, capsys):
         code, out, _ = run(
             capsys, "sample", "--coupling", "0.5", "--steps", "6", "--format", "json"

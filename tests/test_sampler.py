@@ -30,6 +30,14 @@ class TestRealizationConfig:
         with pytest.raises(ValueError):
             RealizationConfig(**kwargs)
 
+    def test_point_guard_counts_the_grid(self):
+        # 10^7 steps make 10^7 + 1 grid points, one over the guard; grid() is
+        # never called, so nothing of that size is allocated
+        t = 5.0
+        with pytest.raises(ValueError, match="point guard"):
+            RealizationConfig(seed=1, dt=t / 1e7, t_max=t)
+        RealizationConfig(seed=1, dt=t / (1e7 - 1), t_max=t)  # exactly 10^7 points
+
 
 class TestDeterminism:
     def test_identical_inputs_reproduce_bit_for_bit(self):
