@@ -4,10 +4,10 @@ The verification oracle represents every observable as a dense matrix in the
 product number basis |n1, n2> of the two bare oscillators (each factor built
 at the basis frequency det(K)^(1/4), see :func:`basis_frequency`),
 diagonalizes the coupled Hamiltonian exactly, and prepares the entangled
-states from the numerical ground state.  No
-closed-form amplitude result enters; the one model input is the pair of
-normal-mode frequencies omega and eta * omega (``model.mode_frequency``) at
-which the Bell-state ladder operators are built.
+states from the numerical ground state.  No closed-form amplitude result
+enters; the one model input is the pair of normal-mode frequencies omega and
+eta * omega (``model.mode_frequency``) at which the Bell-state ladder
+operators are built.
 
 :func:`solve` builds all of this once per ``(params, basis)`` and returns a
 :class:`SolvedSystem` of read-only arrays, which every oracle check reads.

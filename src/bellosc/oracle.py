@@ -216,10 +216,10 @@ def heisenberg_evolution_check(
     for x, p, w in system.normal_modes():
         c, s = math.cos(w * t), math.sin(w * t)
         heis_x, heis_p = (u_dag @ (op @ u_cols) for op in (x, p))
-        x, p = x[sub], p[sub]
-        x_dev = max(x_dev, float(np.max(np.abs(heis_x - (x * c + p * (s / w))))))
-        for form, sine_op in (("canonical", x), ("non-canonical", p)):
-            dev[form] = max(dev[form], float(np.max(np.abs(heis_p - (p * c - w * sine_op * s)))))
+        xs, ps = x[sub], p[sub]  # the laws act entrywise, so they are formed on the block only
+        x_dev = max(x_dev, float(np.max(np.abs(heis_x - (xs * c + ps * (s / w))))))
+        for form, sine_op in (("canonical", xs), ("non-canonical", ps)):
+            dev[form] = max(dev[form], float(np.max(np.abs(heis_p - (ps * c - w * sine_op * s)))))
     accepted, rejected = (
         OracleReport.compare(
             f"evolution[{form}] max dev (n1+n2<=2) at t={t:g}", 0.0, max(x_dev, d), tol

@@ -127,12 +127,6 @@ class TestHeisenbergEvolution:
         assert accepted.abs_diff < 1e-13
         assert rejected.abs_diff < 1e-13  # the sine terms vanish, so both laws agree
 
-    def test_reports_are_labelled_by_law(self):
-        system = solve(SystemParams(1.0, 0.5), TwoModeBasis(8))
-        accepted, rejected = heisenberg_evolution_check(system, 1.0, 1e-8)
-        assert accepted.label == "evolution[canonical] max dev (n1+n2<=2) at t=1"
-        assert rejected.label == "evolution[non-canonical] max dev (n1+n2<=2) at t=1"
-
     def test_canonical_form_passes(self):
         system = solve(SystemParams(1.0, 0.5), TwoModeBasis(12))
         accepted, _ = heisenberg_evolution_check(system, 1.0, 1e-8)
