@@ -115,11 +115,10 @@ class TwoModeBasis:
         n1, n2 = self.occupations()
         return n1 + n2 <= total
 
-    def mask_below_cutoff(self, margin: int = 1) -> np.ndarray:
-        """Boolean mask of states with every occupation <= cutoff - margin."""
+    def mask_below_cutoff(self) -> np.ndarray:
+        """Boolean mask of states with every occupation strictly below the cutoff."""
         n1, n2 = self.occupations()
-        keep = self.cutoff - margin
-        return (n1 <= keep) & (n2 <= keep)
+        return (n1 < self.cutoff) & (n2 < self.cutoff)
 
 
 def basis_frequency(params: SystemParams) -> float:
@@ -215,8 +214,14 @@ class SolvedSystem:
 
     All arrays are read-only, so a system can be shared between threads.
     ``xp, xm, pp, pm`` are X+, X-, P+, P-; ``h`` is real symmetric and
-    ``energies, vectors`` its float64 eigensystem (ascending, eigenvectors as
+    ``energies, vectors`` its eigensystem (ascending, eigenvectors as
     columns); ``ground`` is the lowest eigenvector.
+
+    Structure, which the oracle kernels use to run in real arithmetic:
+    ``x1, x2, xp, xm, h, energies, vectors, ground`` are real float64, and
+    ``p1, p2, pp, pm`` are complex128 with a real part that is exactly zero,
+    so each momentum is i times the real matrix in its ``.imag``.
+    Construction checks this and raises ``ValueError`` otherwise.
     """
 
     params: SystemParams
@@ -233,6 +238,16 @@ class SolvedSystem:
     energies: np.ndarray
     vectors: np.ndarray
     ground: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("x1", "x2", "xp", "xm", "h", "energies", "vectors", "ground"):
+            dtype = getattr(self, name).dtype
+            if dtype != np.float64:
+                raise ValueError(f"{name} must be real float64, got {dtype}")
+        for name in ("p1", "p2", "pp", "pm"):
+            m = getattr(self, name)
+            if m.dtype != np.complex128 or m.real.any():
+                raise ValueError(f"{name} must be complex128 with a zero real part")
 
     def normal_modes(self) -> tuple[tuple[np.ndarray, np.ndarray, float], ...]:
         """(X, P, frequency) of the slow + mode, then of the fast - mode.

@@ -156,18 +156,16 @@ def commutator_check(system: SolvedSystem) -> list[OracleReport]:
     whose occupations are strictly below the cutoff (ladder truncation only
     corrupts the top level of each mode).  The commutators do not depend on
     the frequency; deviations are exact zeros up to float rounding, so the
-    tolerance is fixed at 1e-12.  Every quadrature is Hermitian, so BA is
-    taken as (AB)^dag.
+    tolerance is fixed at 1e-12.  Each momentum is b = i q with q real (see
+    :class:`~bellosc.fock.SolvedSystem`), and every quadrature is Hermitian,
+    so the coordinate a is symmetric, q is antisymmetric and
+    [a, b] = i (a q + (a q)^T).  The deviation is max |a q + (a q)^T - delta 1|
+    on the checked block, whose a q is one real product of the rows a[mask]
+    with the columns q[:, mask].
     """
     s = system
-    mask = s.basis.mask_below_cutoff(margin=1)
-    idx = np.ix_(mask, mask)
-    eye = np.eye(s.basis.dim)[idx]
-
-    def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        ab = a @ b
-        return (ab - ab.conj().T)[idx]
-
+    mask = s.basis.mask_below_cutoff()
+    eye = np.eye(np.count_nonzero(mask))
     cases = [
         ("[x1,p1]", s.x1, s.p1, 1.0),
         ("[x2,p2]", s.x2, s.p2, 1.0),
@@ -180,17 +178,23 @@ def commutator_check(system: SolvedSystem) -> list[OracleReport]:
     ]
     reports = []
     for name, a, b, delta in cases:
-        dev = float(np.max(np.abs(commutator(a, b) - 1j * delta * eye)))
+        aq = a[mask] @ b.imag[:, mask]
+        dev = float(np.max(np.abs(aq + aq.T - delta * eye)))
         reports.append(
             OracleReport.compare(f"commutator {name} - i*{delta:g}", 0.0, dev, 1e-12)
         )
     return reports
 
 
+def _real_times(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """a @ z for a real matrix a and a complex block z, as one real product over z's float view."""
+    return (a @ np.ascontiguousarray(z).view(np.float64)).view(np.complex128)
+
+
 def _evolve(system: SolvedSystem, coeffs: np.ndarray, times) -> np.ndarray:
     """exp(-i H t) applied to states given by their eigenbasis coefficients (rows)."""
     phases = np.exp(-1j * np.multiply.outer(system.energies, times))
-    return system.vectors @ (phases * coeffs)
+    return _real_times(system.vectors, phases * coeffs)
 
 
 def heisenberg_evolution_check(
@@ -215,7 +219,8 @@ def heisenberg_evolution_check(
     x_dev, dev = 0.0, {"canonical": 0.0, "non-canonical": 0.0}
     for x, p, w in system.normal_modes():
         c, s = math.cos(w * t), math.sin(w * t)
-        heis_x, heis_p = (u_dag @ (op @ u_cols) for op in (x, p))
+        heis_x = u_dag @ _real_times(x, u_cols)
+        heis_p = 1j * (u_dag @ _real_times(np.ascontiguousarray(p.imag), u_cols))
         xs, ps = x[sub], p[sub]  # the laws act entrywise, so they are formed on the block only
         x_dev = max(x_dev, float(np.max(np.abs(heis_x - (xs * c + ps * (s / w))))))
         for form, sine_op in (("canonical", xs), ("non-canonical", ps)):
@@ -239,6 +244,9 @@ def evolve_expectations(
     |psi(t)> = exp(-i H t) |psi>, computed through the eigendecomposition of
     H, EVOLVE_TIME_BLOCK times at a time so that memory is O(dim x block).
     First moments are <psi(t)|A|psi(t)> and second moments ||A psi(t)||^2.
+    Every operator acts as a real matrix on the float view of the complex
+    states: a momentum p = i q acts through its real q, with
+    ||p psi|| = ||q psi|| and <p> = -Im <psi|q|psi>.
     The returned columns are the standard deviations
     of the bare coordinates and momenta on the evolved state, divided by the
     single-oscillator ground-state values; none of the closed-form amplitude
@@ -253,19 +261,20 @@ def evolve_expectations(
     psi0 = fock.bell_vector(system, state)
     coeffs = system.vectors.T @ psi0  # the eigenvectors are real
     w = system.params.omega
+    # (real operator, part of <psi|op|psi> that is <A>, normalization); A = op or i op
     observables = (
-        (system.x1, 2.0 * w),
-        (system.x2, 2.0 * w),
-        (system.p1, 2.0 / w),
-        (system.p2, 2.0 / w),
+        (system.x1, np.real, 2.0 * w),
+        (system.x2, np.real, 2.0 * w),
+        (np.ascontiguousarray(system.p1.imag), lambda z: -z.imag, 2.0 / w),
+        (np.ascontiguousarray(system.p2.imag), lambda z: -z.imag, 2.0 / w),
     )
     dx1, dx2, dp1, dp2 = stds = [np.empty(times.size) for _ in observables]
     for start in range(0, times.size, EVOLVE_TIME_BLOCK):
         block = slice(start, start + EVOLVE_TIME_BLOCK)
         evolved = _evolve(system, coeffs[:, None], times[block])  # (dim, block size)
-        for out, (op, norm_sq) in zip(stds, observables):
-            image = op @ evolved
-            first = np.einsum("it,it->t", evolved.conj(), image).real
+        for out, (op, mean_part, norm_sq) in zip(stds, observables):
+            image = _real_times(op, evolved)
+            first = mean_part(np.einsum("it,it->t", evolved.conj(), image))
             second = np.einsum("it,it->t", image.conj(), image).real
             out[block] = np.sqrt(np.maximum(second - first**2, 0.0) * norm_sq)
     return FluctuationTrace(

@@ -1,5 +1,6 @@
 """Operator construction on the truncated two-mode Fock space."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -190,6 +191,32 @@ class TestSolvedSystem:
         ):
             with pytest.raises(ValueError):
                 getattr(system, name)[0] = 1.0
+
+    @pytest.mark.parametrize("cutoff", [6, 12, 20])
+    @pytest.mark.parametrize("g", [0.0, 0.5, 1.5])
+    @pytest.mark.parametrize("omega", [1e-150, 0.3, 1.0, 7.0, 1e150])
+    def test_arrays_have_the_stated_structure(self, omega, g, cutoff):
+        system = solve(SystemParams(omega, g), TwoModeBasis(cutoff))
+        for name in ("x1", "x2", "xp", "xm", "h", "energies", "vectors", "ground"):
+            assert getattr(system, name).dtype == np.float64, name
+        for name in ("p1", "p2", "pp", "pm"):
+            momentum = getattr(system, name)
+            assert momentum.dtype == np.complex128, name
+            assert not np.any(momentum.real), name
+
+    @pytest.mark.parametrize(
+        "field, tamper",
+        [
+            ("p1", lambda s: s.p1 + 1e-3 * s.h),  # a real part: no longer i times a real matrix
+            ("pm", lambda s: s.pm.imag),  # real dtype
+            ("x2", lambda s: s.x2 + 0j),  # complex coordinate
+            ("vectors", lambda s: s.vectors.astype(np.float32)),
+        ],
+    )
+    def test_rejects_a_system_without_the_structure(self, field, tamper):
+        system = solve(SystemParams(1.0, 0.5), TwoModeBasis(6))
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(system, **{field: tamper(system)})
 
     def test_hamiltonian_is_real_symmetric(self):
         h = solve(SystemParams(1.0, 0.8), TwoModeBasis(6)).h

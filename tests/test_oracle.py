@@ -1,5 +1,6 @@
 """Matrix-mechanics cross-checks of the closed forms."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -114,6 +115,35 @@ class TestCommutators:
         reports = commutator_check(solve(SystemParams(omega, 0.8), TwoModeBasis(8)))
         assert all(r.passed for r in reports)
 
+    @pytest.mark.parametrize("cutoff", [6, 12, 20])
+    @pytest.mark.parametrize("omega", [0.3, 1.0, 7.0])
+    def test_matches_dense_commutator(self, omega, cutoff):
+        # the check forms one real block of a q; the full complex a b - b a,
+        # cut to the same block, must give the same deviations
+        basis = TwoModeBasis(cutoff)
+        s = solve(SystemParams(omega, 0.8), basis)
+        operators = {
+            "x1": s.x1, "x2": s.x2, "p1": s.p1, "p2": s.p2,
+            "X+": s.xp, "X-": s.xm, "P+": s.pp, "P-": s.pm,
+        }
+        block = np.ix_(basis.mask_below_cutoff(), basis.mask_below_cutoff())
+        reports = commutator_check(s)
+        assert len(reports) == 8
+        for report in reports:
+            pair, delta = report.label.split()[1], float(report.label.split("i*")[1])
+            a, b = (operators[name] for name in pair.strip("[]").split(","))
+            dense = (a @ b - b @ a)[block] - 1j * delta * np.eye(len(block[0]))
+            assert abs(report.abs_diff - np.max(np.abs(dense))) <= 1e-14, report.label
+
+    def test_scaled_momentum_fails(self):
+        # p1 (1 + 1e-9) is still i times a real matrix, but [x1, p1] = i (1 + 1e-9)
+        system = solve(SystemParams(1.0, 0.5), TwoModeBasis(8))
+        scaled = dataclasses.replace(system, p1=system.p1 * (1.0 + 1e-9))
+        reports = {r.label.split()[1]: r for r in commutator_check(scaled)}
+        assert not reports["[x1,p1]"].passed
+        assert reports["[x1,p1]"].abs_diff == pytest.approx(1e-9, rel=1e-3)
+        assert reports["[x2,p1]"].passed and reports["[x2,p2]"].passed
+
     def test_cross_oscillator_commutator_is_exactly_zero(self):
         reports = commutator_check(solve(SystemParams(1.0), TwoModeBasis(8)))
         cross = report_by_label(reports, "[x1,p2]")[0]
@@ -204,6 +234,36 @@ class TestEvolveExpectations:
         closed = analytic.trace(params, PSI_P, 0.0, period, 30)
         for col in ("dx1", "dx2", "dp1", "dp2"):
             assert np.max(np.abs(getattr(evolved, col) - getattr(closed, col))) < 1e-6
+
+    @pytest.mark.parametrize("state, mixed", [(PSI_P, False), (PSI_M, False), (PSI_M, True)])
+    def test_matches_dense_complex_evolution(self, monkeypatch, state, mixed):
+        # the oracle multiplies real operators into the float view of the
+        # states; complex products with the complex momenta must agree
+        params = SystemParams(omega=2.0, coupling_ratio=0.8)
+        system = solve(params, TwoModeBasis(12))
+        times = np.linspace(0.0, 2 * math.pi / abs(beat_frequency(params)), 50)
+        if mixed:
+            # <x> and <p> vanish on the entangled states; on (|g> + i|psi>) / sqrt(2)
+            # they oscillate, so the first moments enter the result
+            superposition = (system.ground + 1j * fock.bell_vector(system, state)) / math.sqrt(2)
+            monkeypatch.setattr(fock, "bell_vector", lambda *_: superposition)
+        psi0 = fock.bell_vector(system, state)
+        coeffs = system.vectors.T @ psi0
+        phases = np.exp(-1j * np.multiply.outer(system.energies, times))
+        psi = system.vectors.astype(complex) @ (phases * coeffs[:, None])
+        evolved = evolve_expectations(system, state, times)
+        w = params.omega
+        for col, op, norm_sq in (
+            ("dx1", system.x1, 2.0 * w),
+            ("dx2", system.x2, 2.0 * w),
+            ("dp1", system.p1, 2.0 / w),
+            ("dp2", system.p2, 2.0 / w),
+        ):
+            image = op.astype(complex) @ psi
+            first = np.einsum("it,it->t", psi.conj(), image).real
+            second = np.einsum("it,it->t", image.conj(), image).real
+            dense = np.sqrt(np.maximum(second - first**2, 0.0) * norm_sq)
+            assert np.max(np.abs(getattr(evolved, col) - dense)) <= 1e-12, col
 
     def test_time_blocks_agree_with_one_block(self, monkeypatch):
         system = solve(SystemParams(1.0, 0.8), TwoModeBasis(10))
