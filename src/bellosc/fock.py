@@ -10,7 +10,8 @@ eta * omega (``model.mode_frequency``) at which the Bell-state ladder
 operators are built.
 
 :func:`solve` builds all of this once per ``(params, basis)`` and returns a
-:class:`SolvedSystem` of read-only arrays, which every oracle check reads.
+:class:`SolvedSystem` of read-only real arrays, which every oracle check reads;
+each momentum p is held as the real antisymmetric matrix q with p = i q.
 
 Truncation corrupts only the top Fock levels, so operator identities are
 meaningful on the low-lying subspace where every occupation stays well below
@@ -20,7 +21,7 @@ the cutoff.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -42,8 +43,8 @@ __all__ = [
 
 HERMITICITY_TOL = 1e-12
 
-# Largest accepted cutoff.  dim = (cutoff + 1)^2, so at 40 one dense complex
-# operator holds 1681^2 entries (45 MB); at 100 it would be 1.7 GB.
+# Largest accepted cutoff.  dim = (cutoff + 1)^2, so at 40 one dense real
+# operator holds 1681^2 entries (22.6 MB); at 100 it would be 0.8 GB.
 MAX_CUTOFF = 40
 
 
@@ -137,46 +138,41 @@ def basis_frequency(params: SystemParams) -> float:
 
 
 def _mode_quadratures(cutoff: int, omega: float) -> tuple[np.ndarray, np.ndarray]:
-    """Position and momentum matrices of one oscillator on levels 0..cutoff.
+    """Real position matrix x and momentum part q of one oscillator on levels 0..cutoff.
 
     With the lowering matrix a (entries sqrt(n) at (n - 1, n)),
-    X = (a^dag + a) / sqrt(2 w) and P = i sqrt(w / 2) (a^dag - a), both
-    Hermitian (hbar = 1): X is real and P purely imaginary.  Truncation makes
-    [a, a^dag] the identity except for its last diagonal entry, -cutoff.
+    x = (a^dag + a) / sqrt(2 w) is symmetric and q = sqrt(w / 2) (a^dag - a)
+    antisymmetric, so x and the momentum p = i q are Hermitian (hbar = 1).
+    Truncation makes [a, a^dag] the identity except for its last diagonal entry, -cutoff.
     """
     a = np.diag(np.sqrt(np.arange(1, cutoff + 1, dtype=float)), k=1)
     x = (a.T + a) / np.sqrt(2.0 * omega)
-    p = 1j * np.sqrt(omega / 2.0) * (a.T - a)
-    return x, p
+    q = np.sqrt(omega / 2.0) * (a.T - a)
+    return x, q
 
 
 def bare_quadratures(
     params: SystemParams, basis: TwoModeBasis
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Bare coordinates and momenta (x1, x2, p1, p2) on the product space.
+    """Bare coordinates and momentum parts (x1, x2, q1, q2) on the product space.
 
     Each factor is represented in its own number basis at
-    :func:`basis_frequency`.
+    :func:`basis_frequency`; each momentum p = i q is returned as its real q.
     """
-    x, p = _mode_quadratures(basis.cutoff, basis_frequency(params))
+    x, q = _mode_quadratures(basis.cutoff, basis_frequency(params))
     eye = np.eye(basis.levels)
-    x1, x2, p1, p2 = (
-        OperatorMatrix(m).matrix
-        for m in (np.kron(x, eye), np.kron(eye, x), np.kron(p, eye), np.kron(eye, p))
-    )
-    return x1, x2, p1, p2
+    x1, x2 = (OperatorMatrix(m).matrix for m in (np.kron(x, eye), np.kron(eye, x)))
+    return x1, x2, np.kron(q, eye), np.kron(eye, q)
 
 
 def normal_mode_quadratures(
-    x1: np.ndarray, x2: np.ndarray, p1: np.ndarray, p2: np.ndarray
+    x1: np.ndarray, x2: np.ndarray, q1: np.ndarray, q2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Collective coordinates (X+, X-, P+, P-) with X± = (x1 ± x2)/sqrt(2)."""
+    """Collective (X+, X-, Q+, Q-) with X± = (x1 ± x2)/sqrt(2) and P± = i Q±."""
     inv = 1.0 / np.sqrt(2.0)
     xp = OperatorMatrix(inv * (x1 + x2)).matrix
     xm = OperatorMatrix(inv * (x1 - x2)).matrix
-    pp = OperatorMatrix(inv * (p1 + p2)).matrix
-    pm = OperatorMatrix(inv * (p1 - p2)).matrix
-    return xp, xm, pp, pm
+    return xp, xm, inv * (q1 + q2), inv * (q1 - q2)
 
 
 def coupled_hamiltonian(params: SystemParams, basis: TwoModeBasis) -> np.ndarray:
@@ -184,12 +180,12 @@ def coupled_hamiltonian(params: SystemParams, basis: TwoModeBasis) -> np.ndarray
 
     W = g * w is the coupling strength.  Every square is the truncated
     single-mode product lifted onto the product space, x1^2 = kron(x @ x, 1)
-    and x1 x2 = kron(x, x), which equals the product of the lifted matrices.
-    p^2 is real because p is purely imaginary.  Both factors use the number
-    basis of :func:`bare_quadratures`.
+    and x1 x2 = kron(x, x), which equals the product of the lifted matrices,
+    and p^2 = (i q)^2 = -q q.  Both factors use the number basis of
+    :func:`bare_quadratures`.
     """
-    x, p = _mode_quadratures(basis.cutoff, basis_frequency(params))
-    xx, pp = x @ x, (p @ p).real
+    x, q = _mode_quadratures(basis.cutoff, basis_frequency(params))
+    xx, pp = x @ x, -(q @ q)
     eye = np.eye(basis.levels)
     x_sq = np.kron(xx, eye) + np.kron(eye, xx)
     diff_sq = x_sq - 2.0 * np.kron(x, x)
@@ -212,64 +208,62 @@ def hamiltonian_eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class SolvedSystem:
     """Every oracle matrix of one ``(params, basis)``, built once by :func:`solve`.
 
-    All arrays are read-only, so a system can be shared between threads.
-    ``xp, xm, pp, pm`` are X+, X-, P+, P-; ``h`` is real symmetric and
-    ``energies, vectors`` its eigensystem (ascending, eigenvectors as
-    columns); ``ground`` is the lowest eigenvector.
-
-    Structure, which the oracle kernels use to run in real arithmetic:
-    ``x1, x2, xp, xm, h, energies, vectors, ground`` are real float64, and
-    ``p1, p2, pp, pm`` are complex128 with a real part that is exactly zero,
-    so each momentum is i times the real matrix in its ``.imag``.
-    Construction checks this and raises ``ValueError`` otherwise.
+    Every array is real float64 and read-only, so a system can be shared
+    between threads.  ``x1, x2`` are the bare coordinates and ``xp, xm`` the
+    normal-mode X+, X-.  Each momentum is stored as its real antisymmetric
+    part q: p1 = i q1, p2 = i q2, P+ = i qp and P- = i qm.  ``h`` is real
+    symmetric and ``energies, vectors`` its eigensystem (ascending,
+    eigenvectors as columns); ``ground`` is the lowest eigenvector.
+    Construction freezes every array and raises ``ValueError`` if one is not
+    float64 or a q is not exactly antisymmetric, which makes each i q
+    Hermitian.
     """
 
     params: SystemParams
     basis: TwoModeBasis
     x1: np.ndarray
     x2: np.ndarray
-    p1: np.ndarray
-    p2: np.ndarray
+    q1: np.ndarray
+    q2: np.ndarray
     xp: np.ndarray
     xm: np.ndarray
-    pp: np.ndarray
-    pm: np.ndarray
+    qp: np.ndarray
+    qm: np.ndarray
     h: np.ndarray
     energies: np.ndarray
     vectors: np.ndarray
     ground: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("x1", "x2", "xp", "xm", "h", "energies", "vectors", "ground"):
-            dtype = getattr(self, name).dtype
-            if dtype != np.float64:
-                raise ValueError(f"{name} must be real float64, got {dtype}")
-        for name in ("p1", "p2", "pp", "pm"):
-            m = getattr(self, name)
-            if m.dtype != np.complex128 or m.real.any():
-                raise ValueError(f"{name} must be complex128 with a zero real part")
+        for field in fields(self)[2:]:  # every field after params and basis is an array
+            m = getattr(self, field.name)
+            if getattr(m, "dtype", None) != np.float64:
+                raise ValueError(f"{field.name} must be a real float64 array")
+            m.setflags(write=False)
+        for name in ("q1", "q2", "qp", "qm"):
+            q = getattr(self, name)
+            if not np.array_equal(q.T, -q):
+                raise ValueError(f"{name} must be antisymmetric")
 
     def normal_modes(self) -> tuple[tuple[np.ndarray, np.ndarray, float], ...]:
-        """(X, P, frequency) of the slow + mode, then of the fast - mode.
+        """(X, Q, frequency) of the slow + mode, then of the fast - mode; P = i Q.
 
         The frequencies omega and eta * omega come from ``model.mode_frequency``.
         """
         return (
-            (self.xp, self.pp, mode_frequency(self.params, ModeIndex.PLUS)),
-            (self.xm, self.pm, mode_frequency(self.params, ModeIndex.MINUS)),
+            (self.xp, self.qp, mode_frequency(self.params, ModeIndex.PLUS)),
+            (self.xm, self.qm, mode_frequency(self.params, ModeIndex.MINUS)),
         )
 
 
 def solve(params: SystemParams, basis: TwoModeBasis) -> SolvedSystem:
     """Build the quadratures and H of ``(params, basis)`` and diagonalize H, once."""
-    x1, x2, p1, p2 = bare_quadratures(params, basis)
-    xp, xm, pp, pm = normal_mode_quadratures(x1, x2, p1, p2)
+    x1, x2, q1, q2 = bare_quadratures(params, basis)
+    xp, xm, qp, qm = normal_mode_quadratures(x1, x2, q1, q2)
     h = coupled_hamiltonian(params, basis)
     energies, vectors = hamiltonian_eigensystem(h)
-    energies.setflags(write=False)
-    vectors.setflags(write=False)
     return SolvedSystem(
-        params, basis, x1, x2, p1, p2, xp, xm, pp, pm, h, energies, vectors, vectors[:, 0]
+        params, basis, x1, x2, q1, q2, xp, xm, qp, qm, h, energies, vectors, vectors[:, 0]
     )
 
 
@@ -277,15 +271,16 @@ def bell_vector(system: SolvedSystem, state: BellState) -> np.ndarray:
     """Entangled single-excitation state (A-^dag |g> ± A+^dag |g>) / sqrt(2).
 
     |g> is the numerically exact ground state.  Each raising operator
-    A^dag = sqrt(w/2) (X - i P / w), at its mode's frequency w, is applied as
-    two operator-times-vector products.  The raw vector must come out
+    A^dag = sqrt(w/2) (X - i P / w) = sqrt(w/2) (X + Q / w), at its mode's
+    frequency w, is applied as two real operator-times-vector products, so
+    the vector is real float64.  The raw vector must come out
     normalized up to truncation noise; a deviation beyond 1e-3 signals a
     basis too small for the requested coupling (the tests pin the much
     tighter norms reached at the supported cutoffs).
     """
     gs = system.ground
     ap_g, am_g = (
-        np.sqrt(w / 2.0) * (x @ gs - 1j * (p @ gs) / w) for x, p, w in system.normal_modes()
+        np.sqrt(w / 2.0) * (x @ gs + (q @ gs) / w) for x, q, w in system.normal_modes()
     )
     sign = 1.0 if state is BellState.PSI_PLUS else -1.0
     raw = (am_g + sign * ap_g) / np.sqrt(2.0)

@@ -92,13 +92,12 @@ def table1_check(system: SolvedSystem, tol: float) -> list[OracleReport]:
     w = params.omega
     wp = mode_frequency(params, ModeIndex.PLUS)
     wm = mode_frequency(params, ModeIndex.MINUS)
-    ops = {"X+": system.xp, "X-": system.xm, "P+": system.pp, "P-": system.pm}
 
     reports: list[OracleReport] = []
     for state in (BellState.PSI_PLUS, BellState.PSI_MINUS):
         psi = fock.bell_vector(system, state)
-        image = {name: op @ psi for name, op in ops.items()}
-        image[""] = psi  # ("", A) is the first moment <A>
+        image = {"": psi, "X+": system.xp @ psi, "X-": system.xm @ psi}  # ("", A) gives <A>
+        image["P+"], image["P-"] = 1j * (system.qp @ psi), 1j * (system.qm @ psi)  # P = i Q
         sign = 1.0 if state is BellState.PSI_PLUS else -1.0
         x_cross = sign / (2.0 * math.sqrt(e) * w)
         p_cross = sign * math.sqrt(e) * w / 2.0
@@ -133,7 +132,7 @@ def cross_momentum_scaling_probe(
     e = eta(doubled.params)
     w = doubled.params.omega
     psi = fock.bell_vector(doubled, BellState.PSI_PLUS)
-    value = np.vdot(doubled.pp @ psi, doubled.pm @ psi)
+    value = np.vdot(doubled.qp @ psi, doubled.qm @ psi)  # the i of P+ = i Q+ and P- = i Q- cancel
     accepted = OracleReport.compare(
         f"<P+P-> momentum-type form sqrt(eta)*w/2 at w={w:g}",
         math.sqrt(e) * w / 2.0,
@@ -156,29 +155,28 @@ def commutator_check(system: SolvedSystem) -> list[OracleReport]:
     whose occupations are strictly below the cutoff (ladder truncation only
     corrupts the top level of each mode).  The commutators do not depend on
     the frequency; deviations are exact zeros up to float rounding, so the
-    tolerance is fixed at 1e-12.  Each momentum is b = i q with q real (see
-    :class:`~bellosc.fock.SolvedSystem`), and every quadrature is Hermitian,
-    so the coordinate a is symmetric, q is antisymmetric and
-    [a, b] = i (a q + (a q)^T).  The deviation is max |a q + (a q)^T - delta 1|
-    on the checked block, whose a q is one real product of the rows a[mask]
-    with the columns q[:, mask].
+    tolerance is fixed at 1e-12.  The system holds each momentum b = i q as
+    its real antisymmetric q (see :class:`~bellosc.fock.SolvedSystem`) and
+    each coordinate a is symmetric, so [a, b] = i (a q + (a q)^T).  The
+    deviation is max |a q + (a q)^T - delta 1| on the checked block, whose
+    a q is one real product of the rows a[mask] with the columns q[:, mask].
     """
     s = system
     mask = s.basis.mask_below_cutoff()
     eye = np.eye(np.count_nonzero(mask))
     cases = [
-        ("[x1,p1]", s.x1, s.p1, 1.0),
-        ("[x2,p2]", s.x2, s.p2, 1.0),
-        ("[x1,p2]", s.x1, s.p2, 0.0),
-        ("[x2,p1]", s.x2, s.p1, 0.0),
-        ("[X+,P+]", s.xp, s.pp, 1.0),
-        ("[X-,P-]", s.xm, s.pm, 1.0),
-        ("[X+,P-]", s.xp, s.pm, 0.0),
-        ("[X-,P+]", s.xm, s.pp, 0.0),
+        ("[x1,p1]", s.x1, s.q1, 1.0),
+        ("[x2,p2]", s.x2, s.q2, 1.0),
+        ("[x1,p2]", s.x1, s.q2, 0.0),
+        ("[x2,p1]", s.x2, s.q1, 0.0),
+        ("[X+,P+]", s.xp, s.qp, 1.0),
+        ("[X-,P-]", s.xm, s.qm, 1.0),
+        ("[X+,P-]", s.xp, s.qm, 0.0),
+        ("[X-,P+]", s.xm, s.qp, 0.0),
     ]
     reports = []
-    for name, a, b, delta in cases:
-        aq = a[mask] @ b.imag[:, mask]
+    for name, a, q, delta in cases:
+        aq = a[mask] @ q[:, mask]
         dev = float(np.max(np.abs(aq + aq.T - delta * eye)))
         reports.append(
             OracleReport.compare(f"commutator {name} - i*{delta:g}", 0.0, dev, 1e-12)
@@ -217,11 +215,11 @@ def heisenberg_evolution_check(
     u_dag = u_cols.conj().T
     sub = np.ix_(mask, mask)
     x_dev, dev = 0.0, {"canonical": 0.0, "non-canonical": 0.0}
-    for x, p, w in system.normal_modes():
+    for x, q, w in system.normal_modes():
         c, s = math.cos(w * t), math.sin(w * t)
         heis_x = u_dag @ _real_times(x, u_cols)
-        heis_p = 1j * (u_dag @ _real_times(np.ascontiguousarray(p.imag), u_cols))
-        xs, ps = x[sub], p[sub]  # the laws act entrywise, so they are formed on the block only
+        heis_p = 1j * (u_dag @ _real_times(q, u_cols))
+        xs, ps = x[sub], 1j * q[sub]  # the laws act entrywise, so they are formed on the block only
         x_dev = max(x_dev, float(np.max(np.abs(heis_x - (xs * c + ps * (s / w))))))
         for form, sine_op in (("canonical", xs), ("non-canonical", ps)):
             dev[form] = max(dev[form], float(np.max(np.abs(heis_p - (ps * c - w * sine_op * s)))))
@@ -245,18 +243,21 @@ def evolve_expectations(
     H, EVOLVE_TIME_BLOCK times at a time so that memory is O(dim x block).
     First moments are <psi(t)|A|psi(t)> and second moments ||A psi(t)||^2.
     Every operator acts as a real matrix on the float view of the complex
-    states: a momentum p = i q acts through its real q, with
+    states: the system holds each momentum p = i q as its real q, with
     ||p psi|| = ||q psi|| and <p> = -Im <psi|q|psi>.
     The returned columns are the standard deviations
     of the bare coordinates and momenta on the evolved state, divided by the
     single-oscillator ground-state values; none of the closed-form amplitude
-    results enter.
+    results enter.  Times at which a phase E * t overflows are rejected.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1:
         raise ValueError("times must be a nonempty 1-d grid")
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
+    # max|E| * max|t| is the largest phase; as Python floats it overflows without a warning
+    if not math.isfinite(float(np.max(np.abs(system.energies))) * float(np.max(np.abs(times)))):
+        raise ValueError("times overflow the phases E * t: max|E| * max|t| is not finite")
 
     psi0 = fock.bell_vector(system, state)
     coeffs = system.vectors.T @ psi0  # the eigenvectors are real
@@ -265,8 +266,8 @@ def evolve_expectations(
     observables = (
         (system.x1, np.real, 2.0 * w),
         (system.x2, np.real, 2.0 * w),
-        (np.ascontiguousarray(system.p1.imag), lambda z: -z.imag, 2.0 / w),
-        (np.ascontiguousarray(system.p2.imag), lambda z: -z.imag, 2.0 / w),
+        (system.q1, lambda z: -z.imag, 2.0 / w),
+        (system.q2, lambda z: -z.imag, 2.0 / w),
     )
     dx1, dx2, dp1, dp2 = stds = [np.empty(times.size) for _ in observables]
     for start in range(0, times.size, EVOLVE_TIME_BLOCK):

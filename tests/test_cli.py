@@ -516,6 +516,17 @@ class TestVerify:
         assert out == ""
         assert one_error_line(err) and "--steps" in err and "--cutoff" in err
 
+    @pytest.mark.parametrize("t_max", ["3e307", "1e308"])
+    def test_overflowing_phases_are_config_error(self, t_max, capsys):
+        # max|E| * t_max overflows, so the phases E * t would be inf and nan
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "verify", "--t-max", t_max)
+        assert code == 2
+        assert out == ""
+        assert one_error_line(err) and "overflow" in err
+        assert not caught
+
     def test_unreachable_tolerance_fails_with_diff_reported(self, capsys):
         code, out, _ = run(capsys, "verify", "--cutoff", "8", "--tolerance", "1e-30")
         assert code == 1

@@ -17,14 +17,18 @@ from bellosc.fock import (
 )
 from bellosc.model import BellState, SystemParams, eta
 
+ARRAY_FIELDS = (
+    "x1", "x2", "q1", "q2", "xp", "xm", "qp", "qm", "h", "energies", "vectors", "ground",
+)
+
 
 def bare_ladders(params, basis):
     """(a1, a1^dag, a2, a2^dag) from the lifted bare quadratures at w = omega:
     a = sqrt(w/2) (x + i p / w), a^dag = sqrt(w/2) (x - i p / w)."""
-    x1, x2, p1, p2 = bare_quadratures(params, basis)
+    x1, x2, q1, q2 = bare_quadratures(params, basis)
     w = params.omega
     out = []
-    for x, p in ((x1, p1), (x2, p2)):
+    for x, p in ((x1, 1j * q1), (x2, 1j * q2)):
         out += [np.sqrt(w / 2.0) * (x + 1j * p / w), np.sqrt(w / 2.0) * (x - 1j * p / w)]
     return out
 
@@ -32,7 +36,8 @@ def bare_ladders(params, basis):
 def normal_mode_ladders(system):
     """(A+, A+^dag, A-, A-^dag) with A = sqrt(w/2) (X + i P / w) at each mode's frequency."""
     out = []
-    for x, p, w in system.normal_modes():
+    for x, q, w in system.normal_modes():
+        p = 1j * q
         a = np.sqrt(w / 2.0) * (x + 1j * p / w)
         out += [a, a.conj().T]
     return out
@@ -48,8 +53,9 @@ def shifted_form_hamiltonian(system):
     s, params = system, system.params
     big_omega2 = (params.coupling_ratio * params.omega) ** 2
     wprime2 = params.omega**2 + big_omega2
+    p1, p2 = 1j * s.q1, 1j * s.q2
     return 0.5 * (
-        s.p1 @ s.p1 + s.p2 @ s.p2 + wprime2 * (s.x1 @ s.x1 + s.x2 @ s.x2)
+        p1 @ p1 + p2 @ p2 + wprime2 * (s.x1 @ s.x1 + s.x2 @ s.x2)
         - 2.0 * big_omega2 * (s.x1 @ s.x2)
     )
 
@@ -118,7 +124,8 @@ class TestBareQuadratures:
 
     def test_canonical_commutator_below_cutoff(self):
         basis = TwoModeBasis(6)
-        x1, _, p1, _ = bare_quadratures(SystemParams(1.3, 0.0), basis)
+        x1, _, q1, _ = bare_quadratures(SystemParams(1.3, 0.0), basis)
+        p1 = 1j * q1
         comm = x1 @ p1 - p1 @ x1
         below = basis.occupations()[0] < basis.cutoff
         sub = comm[np.ix_(below, below)]
@@ -186,9 +193,7 @@ class TestTwoModeBasis:
 class TestSolvedSystem:
     def test_arrays_are_read_only(self):
         system = solve(SystemParams(1.0, 0.5), TwoModeBasis(4))
-        for name in (
-            "x1", "x2", "p1", "p2", "xp", "xm", "pp", "pm", "h", "energies", "vectors", "ground",
-        ):
+        for name in ARRAY_FIELDS:
             with pytest.raises(ValueError):
                 getattr(system, name)[0] = 1.0
 
@@ -197,18 +202,21 @@ class TestSolvedSystem:
     @pytest.mark.parametrize("omega", [1e-150, 0.3, 1.0, 7.0, 1e150])
     def test_arrays_have_the_stated_structure(self, omega, g, cutoff):
         system = solve(SystemParams(omega, g), TwoModeBasis(cutoff))
-        for name in ("x1", "x2", "xp", "xm", "h", "energies", "vectors", "ground"):
-            assert getattr(system, name).dtype == np.float64, name
-        for name in ("p1", "p2", "pp", "pm"):
+        for name in ARRAY_FIELDS:
+            array = getattr(system, name)
+            assert array.dtype == np.float64, name
+            assert not array.flags.writeable, name
+        for name in ("q1", "q2", "qp", "qm"):
             momentum = getattr(system, name)
-            assert momentum.dtype == np.complex128, name
-            assert not np.any(momentum.real), name
+            assert np.array_equal(momentum.T, -momentum), name
+        for state in BellState:
+            assert bell_vector(system, state).dtype == np.float64, state
 
     @pytest.mark.parametrize(
         "field, tamper",
         [
-            ("p1", lambda s: s.p1 + 1e-3 * s.h),  # a real part: no longer i times a real matrix
-            ("pm", lambda s: s.pm.imag),  # real dtype
+            ("q1", lambda s: s.q1 + 1e-3 * s.h),  # no longer antisymmetric, so i q1 is not Hermitian
+            ("qm", lambda s: s.qm + 0j),  # complex momentum part
             ("x2", lambda s: s.x2 + 0j),  # complex coordinate
             ("vectors", lambda s: s.vectors.astype(np.float32)),
         ],
@@ -226,8 +234,8 @@ class TestSolvedSystem:
     def test_normal_modes_pair_quadratures_with_model_frequencies(self):
         params = SystemParams(2.0, 0.8)
         system = solve(params, TwoModeBasis(4))
-        (xp, pp, wp), (xm, pm, wm) = system.normal_modes()
-        assert xp is system.xp and pp is system.pp and xm is system.xm and pm is system.pm
+        (xp, qp, wp), (xm, qm, wm) = system.normal_modes()
+        assert xp is system.xp and qp is system.qp and xm is system.xm and qm is system.qm
         assert (wp, wm) == (2.0, 2.0 * eta(params))
 
     def test_ground_state_is_lowest_eigenvector(self):
@@ -342,12 +350,13 @@ class TestBellVector:
 
 def test_bare_quadratures_commute_across_oscillators():
     s = solve(SystemParams(1.0, 0.7), TwoModeBasis(5))
-    assert np.max(np.abs(s.x1 @ s.p2 - s.p2 @ s.x1)) == 0.0
+    p2 = 1j * s.q2
+    assert np.max(np.abs(s.x1 @ p2 - p2 @ s.x1)) == 0.0
     assert np.max(np.abs(s.x1 @ s.x2 - s.x2 @ s.x1)) == 0.0
 
 
 def test_normal_mode_quadratures_are_hermitian():
     s = solve(SystemParams(1.0, 0.7), TwoModeBasis(4))
-    for op in (s.xp, s.xm, s.pp, s.pm):
-        assert not op.flags.writeable
+    for stored, op in ((s.xp, s.xp), (s.xm, s.xm), (s.qp, 1j * s.qp), (s.qm, 1j * s.qm)):
+        assert not stored.flags.writeable
         assert np.max(np.abs(op - op.conj().T)) < 1e-12

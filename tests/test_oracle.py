@@ -123,8 +123,8 @@ class TestCommutators:
         basis = TwoModeBasis(cutoff)
         s = solve(SystemParams(omega, 0.8), basis)
         operators = {
-            "x1": s.x1, "x2": s.x2, "p1": s.p1, "p2": s.p2,
-            "X+": s.xp, "X-": s.xm, "P+": s.pp, "P-": s.pm,
+            "x1": s.x1, "x2": s.x2, "p1": 1j * s.q1, "p2": 1j * s.q2,
+            "X+": s.xp, "X-": s.xm, "P+": 1j * s.qp, "P-": 1j * s.qm,
         }
         block = np.ix_(basis.mask_below_cutoff(), basis.mask_below_cutoff())
         reports = commutator_check(s)
@@ -136,9 +136,9 @@ class TestCommutators:
             assert abs(report.abs_diff - np.max(np.abs(dense))) <= 1e-14, report.label
 
     def test_scaled_momentum_fails(self):
-        # p1 (1 + 1e-9) is still i times a real matrix, but [x1, p1] = i (1 + 1e-9)
+        # q1 (1 + 1e-9) is still antisymmetric, but [x1, p1] = i (1 + 1e-9)
         system = solve(SystemParams(1.0, 0.5), TwoModeBasis(8))
-        scaled = dataclasses.replace(system, p1=system.p1 * (1.0 + 1e-9))
+        scaled = dataclasses.replace(system, q1=system.q1 * (1.0 + 1e-9))
         reports = {r.label.split()[1]: r for r in commutator_check(scaled)}
         assert not reports["[x1,p1]"].passed
         assert reports["[x1,p1]"].abs_diff == pytest.approx(1e-9, rel=1e-3)
@@ -179,7 +179,8 @@ class TestHeisenbergEvolution:
         idx = np.ix_(basis.mask_total_at_most(2), basis.mask_total_at_most(2))
         for report, canonical in zip(reports, (True, False)):
             dev = 0.0
-            for x, p, w in system.normal_modes():
+            for x, q, w in system.normal_modes():
+                p = 1j * q
                 c, s = math.cos(w * t), math.sin(w * t)
                 sine_op = x if canonical else p
                 dev = max(
@@ -238,7 +239,7 @@ class TestEvolveExpectations:
     @pytest.mark.parametrize("state, mixed", [(PSI_P, False), (PSI_M, False), (PSI_M, True)])
     def test_matches_dense_complex_evolution(self, monkeypatch, state, mixed):
         # the oracle multiplies real operators into the float view of the
-        # states; complex products with the complex momenta must agree
+        # states; complex products with the complex momenta p = i q must agree
         params = SystemParams(omega=2.0, coupling_ratio=0.8)
         system = solve(params, TwoModeBasis(12))
         times = np.linspace(0.0, 2 * math.pi / abs(beat_frequency(params)), 50)
@@ -256,8 +257,8 @@ class TestEvolveExpectations:
         for col, op, norm_sq in (
             ("dx1", system.x1, 2.0 * w),
             ("dx2", system.x2, 2.0 * w),
-            ("dp1", system.p1, 2.0 / w),
-            ("dp2", system.p2, 2.0 / w),
+            ("dp1", 1j * system.q1, 2.0 / w),
+            ("dp2", 1j * system.q2, 2.0 / w),
         ):
             image = op.astype(complex) @ psi
             first = np.einsum("it,it->t", psi.conj(), image).real
@@ -307,7 +308,7 @@ class TestConsistencyLock:
     def test_momentum_cross_correlation_is_forced_by_coordinate_one(self, g):
         params = SystemParams(1.0, g)
         system = solve(params, TwoModeBasis(12))
-        xp, xm, pp, pm = system.xp, system.xm, system.pp, system.pm
+        xp, xm, pp, pm = system.xp, system.xm, 1j * system.qp, 1j * system.qm
         psi = fock.bell_vector(system, PSI_P)
         x_cross = np.vdot(psi, (xp @ xm) @ psi)
         p_cross = np.vdot(psi, (pp @ pm) @ psi)
@@ -322,7 +323,7 @@ class TestConsistencyLock:
         # variance assembled from oracle second moments must equal the closed form.
         params = SystemParams(1.0, g)
         system = solve(params, TwoModeBasis(12))
-        xp, xm, pp, pm = system.xp, system.xm, system.pp, system.pm
+        xp, xm, pp, pm = system.xp, system.xm, 1j * system.qp, 1j * system.qm
         psi = fock.bell_vector(system, state)
         second = np.array(
             [[np.vdot(psi, (a @ b) @ psi) for b in (xp, xm, pp, pm)] for a in (xp, xm, pp, pm)]
