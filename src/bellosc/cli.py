@@ -8,7 +8,9 @@ sweep    envelope frequency and period statistics across couplings
 sample   one seeded stochastic realization with its envelope
 figures  write the standard set of figure data files plus an index
 
-Exit status: 0 success, 1 verification failure, 2 usage or config error.
+Exit status: 0 success, 1 verification failure, 2 usage or config error,
+141 when the reader of an output pipe goes away (as for a writer ended by
+SIGPIPE; nothing more is written and no message is printed).
 All numeric output is serialized with 9 significant digits; CSV files are
 UTF-8, comma-delimited, with a header row and LF line endings.
 """
@@ -20,9 +22,12 @@ import contextlib
 import csv
 import json
 import math
+import os
 import re
 import sys
+from collections.abc import Callable, Iterator
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,10 +35,11 @@ from . import analytic, fock, oracle
 from .model import (
     BellState, OscillatorIndex, SystemParams, beat_frequency, default_t_max, envelope_period, eta,
 )
-from .sampler import MAX_GRID_POINTS, RealizationConfig, sample_realization
+from .sampler import MAX_GRID_POINTS, RealizationConfig, realization_blocks
 
 __all__ = ["main"]
 
+EXIT_PIPE_CLOSED = 141  # 128 + SIGPIPE, what a shell reports for a writer the signal ended
 FIGURE_COUPLINGS = (0.0, 0.2, 0.8)  # named coupling regimes: none, strong, very strong
 FIGURE_SAMPLE_COUPLING = 0.8
 SWEEP_SAMPLES_PER_PERIOD = 4096
@@ -60,7 +66,16 @@ DEFAULTS = {
 # ---------------------------------------------------------------------------
 # serialization helpers
 
-_BLOCK_ROWS = 16384  # rows formatted per call: bounds the size of each block buffer
+_BLOCK_ROWS = 16384  # rows per block of a row source, and per writer byte buffer
+# Rows of a block written per call, and formatted per call by the JSON writer,
+# so that a call's temporaries stay well below the size of a block's byte
+# buffer.  The writers make one buffer per block.  glibc maps the first one
+# on its own and, when it is freed, raises its heap trim threshold to twice
+# that size.  Later blocks whose temporaries stay under it reuse the same
+# heap pages; above it, the heap's top goes back to the kernel after every
+# block and is faulted in again.  The CSV buffer (68 bytes a row for sample)
+# is wide enough to format whole blocks; JSON's (27) is not.
+_PIECE_ROWS = 8192
 # List item separator of json.dump(indent=2) at column depth.
 _JSON_ITEM_SEP = ",\n      "
 _TOKEN_BYTES = 16  # widest "%.9g" token: "-1.23456789e-308"
@@ -102,32 +117,56 @@ def _nine_digits(v: np.ndarray):
     with m in [1e8, 1e9) (see ``_tokens``); elsewhere m is 1e8."""
     with np.errstate(all="ignore"):  # log10(0), nan comparisons, overflow of s
         s = np.abs(v)
-        x = np.floor(np.log10(s))
+        x = np.log10(s)
+        np.floor(x, out=x)
         fast = (x >= -4) & (x <= 7)
-        xi = np.where(fast, x + 4, 0).astype(np.intp)
+        x += 4
+        x[~fast] = 0
+        xi = x.astype(np.intp)
         s *= np.take(_SCALE, xi)
-        m = np.rint(s)
-        fast &= (s >= 1e8) & (m < 1e9) & (np.abs(s - m) < 0.5 - 1e-6)
+        m = np.rint(s, out=x)
+        fast &= s >= 1e8
+        fast &= m < 1e9
+        s -= m
+        fast &= np.abs(s, out=s) < 0.5 - 1e-6
     m[~fast] = 1e8
     return fast, xi, m.astype(np.uint64)
 
 
 def _ascii_digits(m: np.ndarray):
     """``(lo, hi, tz)``: m in [1e8, 1e9) as 9 ASCII digits in 128-bit little-endian
-    words (lo holds bytes 0-7, hi bytes 8-15), and its count of trailing zero digits."""
+    words (lo holds bytes 0-7, hi bytes 8-15), and its count of trailing zero digits.
+
+    m is overwritten: it becomes lo."""
     lead = m // 100000000
-    w = m - lead * 100000000  # the other 8 digits, made one byte each of w
+    w = m  # the other 8 digits, made one byte each of w, in m's place
+    w -= lead * 100000000
     q = w // 10000
-    w = q | ((w - q * 10000) << 32)  # two 4-digit lanes
-    q = ((w * 10486) >> 20) & 0x0000007F0000007F  # // 100 in each lane
-    w = q | ((w - q * 100) << 16)  # four 2-digit lanes
-    q = ((w * 103) >> 10) & 0x000F000F000F000F  # // 10 in each lane
-    w = q | ((w - q * 10) << 8)  # eight 1-digit lanes, most significant first
+    w -= q * 10000  # two 4-digit lanes
+    w <<= 32
+    w |= q
+    np.multiply(w, 10486, out=q)  # // 100 in each lane
+    q >>= 20
+    q &= 0x0000007F0000007F
+    w -= q * 100  # four 2-digit lanes
+    w <<= 16
+    w |= q
+    np.multiply(w, 103, out=q)  # // 10 in each lane
+    q >>= 10
+    q &= 0x000F000F000F000F
+    w -= q * 10  # eight 1-digit lanes, most significant first
+    w <<= 8
+    w |= q
+    del q
     # Trailing zero digits are the bytes above w's highest nonzero one; a byte
     # is at most 9, so converting w to float cannot carry into the next byte.
     tz = 8 - (np.frexp(w.astype(float))[1] + 7) // 8
     w |= 0x3030303030303030
-    return (lead + 0x30) | (w << 8), w >> 56, tz
+    hi = w >> 56
+    w <<= 8
+    lead += 0x30
+    w |= lead
+    return w, hi, tz
 
 
 def _tokens(values: np.ndarray) -> np.ndarray:
@@ -149,18 +188,36 @@ def _tokens(values: np.ndarray) -> np.ndarray:
     Every other value (zeros, subnormals, nan, inf, |v| outside [1e-4, 1e8),
     near-ties, log10 off by one next to a power of ten, m rounding up to 1e9)
     is written by ``"%.9g" % v`` into its row.
+
+    The steps work in place where they can, so a call's temporaries peak at
+    about 60 bytes per value (see _PIECE_ROWS).
     """
     v = np.asarray(values, dtype=float)
     fast, xi, m = _nine_digits(v)
     lo, hi, tz = _ascii_digits(m)
-    keep, shift, insert_lo, insert_hi = np.take(_LAYOUT, xi, axis=0).T
+    keep, shift, insert_lo, insert_hi = _LAYOUT.T
+    keep = keep[xi]
     rest = lo & ~keep
-    hi = (hi << shift) | (rest >> (64 - shift)) | insert_hi
-    lo = (lo & keep) | (rest << shift) | insert_lo
+    lo &= keep
+    del keep
+    shift = shift[xi]
+    hi <<= shift
+    hi |= rest >> (64 - shift)
+    rest <<= shift
+    del shift
+    lo |= rest
+    del rest
+    hi |= insert_hi[xi]
+    lo |= insert_lo[xi]
     out = np.empty((len(v), 2), dtype="<u8")
-    out[:, 1] = (hi << 8) | (lo >> 56)
-    out[:, 0] = (lo << 8) | (np.signbit(v) * np.uint64(ord("-")))  # the sign slot
-    out &= np.take(_MASK, xi * 9 + tz, axis=0)
+    np.left_shift(hi, 8, out=out[:, 1])
+    out[:, 1] |= lo >> 56
+    np.left_shift(lo, 8, out=out[:, 0])
+    out[:, 0] |= np.signbit(v) * np.uint64(ord("-"))  # the sign slot
+    del lo, hi
+    xi *= 9
+    xi += tz
+    out &= np.take(_MASK, xi, axis=0)
     out = out.view(np.uint8)
     slow = np.flatnonzero(~fast)
     if len(slow):
@@ -174,13 +231,38 @@ def _ascii_rows(tokens: list[str], width: int) -> np.ndarray:
 
 
 def _write_bytes(stream, block: np.ndarray) -> None:
-    """Write the block's bytes in row order, NULs dropped."""
-    stream.write(block.tobytes().translate(None, b"\0").decode("ascii"))
+    """Write the block's bytes in row order, NULs dropped, _PIECE_ROWS rows at a time."""
+    for start in range(0, len(block), _PIECE_ROWS):
+        piece = block[start : start + _PIECE_ROWS]
+        stream.write(piece.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def _blocks(n: int):
     """Slices of at most _BLOCK_ROWS rows covering range(n)."""
     return (slice(start, start + _BLOCK_ROWS) for start in range(0, n, _BLOCK_ROWS))
+
+
+class _Rows(NamedTuple):
+    """Named equal-length columns that the writers read a block of rows at a time.
+
+    ``blocks(names)`` yields, for consecutive blocks of at most _BLOCK_ROWS
+    rows, the values of the named columns in that block, in the order of
+    ``names``.  A source computes only the columns it is asked for.
+    """
+
+    names: tuple[str, ...]
+    blocks: Callable[[tuple[str, ...]], Iterator[list[np.ndarray]]]
+
+
+def _array_rows(columns: dict[str, np.ndarray]) -> _Rows:
+    """Whole arrays as row blocks: every block is a slice (a view) of each column."""
+    n = len(next(iter(columns.values()), ()))
+
+    def blocks(names):
+        for rows in _blocks(n):
+            yield [columns[name][rows] for name in names]
+
+    return _Rows(tuple(columns), blocks)
 
 
 def _is_constant(col: np.ndarray) -> bool:
@@ -203,88 +285,89 @@ def _json_items(values: np.ndarray, out: np.ndarray) -> None:
     out[:, :_TOKEN_BYTES] = _tokens(values)
     out[:, _TOKEN_BYTES:] = 0
     size = np.abs(values)
-    with np.errstate(invalid="ignore"):
-        same = (size >= 1e-300) & (np.abs(values - np.rint(values)) > 1e-8 * size)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        gap = np.rint(values)
+        gap -= values
+        same = size >= 1e-300
+        size *= 1e-8
+        same &= np.abs(gap, out=gap) > size
     redo = np.flatnonzero(~same)
     if len(redo):
         tokens = [json.dumps(float("%.9g" % v)) for v in values[redo].tolist()]
         out[redo] = _ascii_rows(tokens, _JSON_TOKEN_BYTES)
 
 
-def _write_csv(stream, columns: dict[str, np.ndarray]) -> None:
+def _write_csv(stream, rows: _Rows) -> None:
     """Header row, then one row per grid point with every value as ``%.9g``.
 
-    Each block of rows is laid out in one byte buffer: every column's tokens
-    (see ``_tokens``) in a slot of its own, each slot followed by "," or the
-    newline.  A constant column is formatted once, into its slot.
+    One pass over the blocks of ``rows``.  Each block is laid out in one byte
+    buffer: every column's tokens (see ``_tokens``) in a slot of its own, each
+    slot followed by "," or the newline.  A column that is constant within a
+    block is formatted once, into its slot.
     """
-    csv.writer(stream, lineterminator="\n").writerow(columns.keys())
-    cols = [np.asarray(col, dtype=float) for col in columns.values()]
-    if not cols:
+    csv.writer(stream, lineterminator="\n").writerow(rows.names)
+    if not rows.names:
         return
-    n = len(cols[0])
-    block = np.empty((min(n, _BLOCK_ROWS), len(cols), _TOKEN_BYTES + 1), dtype=np.uint8)
-    block[:, :, -1] = ord(",")
-    block[:, -1, -1] = ord("\n")
-    varying = []
-    for i, col in enumerate(cols):
-        slot = block[:, i, :-1]
-        if _is_constant(col):
-            slot[:] = _tokens(col[:1])
-        else:
-            varying.append((col, slot))
-    for rows in _blocks(n):
-        count = len(cols[0][rows])
-        for col, slot in varying:
-            slot[:count] = _tokens(col[rows])
-        _write_bytes(stream, block[:count])
+    for cols in rows.blocks(rows.names):  # one buffer per block: see _PIECE_ROWS
+        buffer = np.empty((len(cols[0]), len(cols), _TOKEN_BYTES + 1), dtype=np.uint8)
+        buffer[:, :, -1] = ord(",")
+        buffer[:, -1, -1] = ord("\n")
+        for i, col in enumerate(cols):
+            col = np.asarray(col, dtype=float)
+            buffer[:, i, :-1] = _tokens(col[:1] if _is_constant(col) else col)
+        _write_bytes(stream, buffer)
 
 
-def _write_json(stream, columns: dict[str, np.ndarray], metadata: dict) -> None:
+def _write_json(stream, rows: _Rows, metadata: dict) -> None:
     """Write ``json.dump({"metadata": ..., "columns": ...}, indent=2)`` and a newline.
 
     Column values are rounded to 9 significant digits (see ``_json_items``).
-    Each block of a column is laid out in one byte buffer, a separator in
-    front of every token; the first one's comma is dropped.  A constant
-    column is formatted once and repeated.
+    One pass over the blocks of ``rows`` per column, which asks the source for
+    that column alone.  Each block is laid out in one byte buffer, a separator
+    in front of every token, _PIECE_ROWS rows at a time; the first one's comma
+    is dropped.  A column that is constant within a block is formatted once
+    and repeated.
     """
     stream.write('{\n  "metadata": ' + json.dumps(metadata, indent=2).replace("\n", "\n  "))
     stream.write(',\n  "columns": {')
-    n = max((len(col) for col in columns.values()), default=0)
     sep = np.frombuffer(_JSON_ITEM_SEP.encode("ascii"), dtype=np.uint8)
-    block = np.empty((min(n, _BLOCK_ROWS), len(sep) + _JSON_TOKEN_BYTES), dtype=np.uint8)
-    block[:, : len(sep)] = sep
-    slot = block[:, len(sep) :]
     key_sep = "\n    "
-    for name, col in columns.items():
+    for name in rows.names:
         stream.write(key_sep + json.dumps(name) + ": [")
-        col = np.asarray(col, dtype=float)
-        constant = _is_constant(col)
-        if constant:
-            _json_items(col[:1], slot[:1])
-            slot[1:] = slot[0]
-        for rows in _blocks(len(col)):
-            count = len(col[rows])
-            if not constant:
-                _json_items(col[rows], slot[:count])
-            block[0, 0] = sep[0] if rows.start else 0  # no comma before the first item
-            _write_bytes(stream, block[:count])
-        stream.write("\n    ]" if len(col) else "]")
+        first = True
+        for (col,) in rows.blocks((name,)):
+            col = np.asarray(col, dtype=float)
+            # one buffer per block: see _PIECE_ROWS
+            buffer = np.empty((len(col), len(sep) + _JSON_TOKEN_BYTES), dtype=np.uint8)
+            buffer[:, : len(sep)] = sep
+            slot = buffer[:, len(sep) :]
+            if _is_constant(col):
+                _json_items(col[:1], slot[:1])
+                slot[1:] = slot[0]
+            else:
+                for start in range(0, len(col), _PIECE_ROWS):
+                    piece = slice(start, start + _PIECE_ROWS)
+                    _json_items(col[piece], slot[piece])
+            if first:
+                buffer[0, 0] = 0  # no comma before the first item
+            _write_bytes(stream, buffer)
+            first = False
+        stream.write("]" if first else "\n    ]")
         key_sep = ",\n    "
-    stream.write("\n  }\n}\n" if columns else "}\n}\n")
+    stream.write("\n  }\n}\n" if rows.names else "}\n}\n")
 
 
-def _emit(args: argparse.Namespace, columns: dict[str, np.ndarray], metadata: dict) -> None:
-    """Write ``columns`` as --format to --output, '-' meaning stdout."""
+def _emit(args: argparse.Namespace, rows: _Rows, metadata: dict) -> None:
+    """Write ``rows`` as --format to --output, '-' meaning stdout."""
     if args.output == "-":
         target = contextlib.nullcontext(sys.stdout)
     else:
         target = open(args.output, "w", newline="", encoding="utf-8")
     with target as stream:
         if args.format == "json":
-            _write_json(stream, columns, metadata)
+            _write_json(stream, rows, metadata)
         else:
-            _write_csv(stream, columns)
+            _write_csv(stream, rows)
 
 
 def _metadata(args: argparse.Namespace, command: str, **extra) -> dict:
@@ -306,7 +389,9 @@ def _couplings(args: argparse.Namespace) -> list[float]:
 # subcommands
 #
 # One column builder per export kind; the subcommands and `figures` all write
-# what these return through the same writers.
+# what these return through the same writers.  `trace` and `sweep` columns are
+# whole arrays, handed to the writers as row blocks by `_array_rows`; a sample
+# is made a block at a time as it is written.
 
 
 def _trace_columns(
@@ -363,6 +448,15 @@ def _sweep_columns(
     return {name: data[:, i] for i, name in enumerate(names)}
 
 
+# Column of a sample export -> the part of the realization it shows.
+_SAMPLE_PARTS = {
+    "t": "times",
+    "sample": "values",
+    "envelope_plus": "envelope",
+    "envelope_minus": "envelope",
+}
+
+
 def _sample_columns(
     params: SystemParams,
     state: BellState,
@@ -370,29 +464,29 @@ def _sample_columns(
     seed: int,
     t_max: float,
     steps: int,
-) -> dict[str, np.ndarray]:
+) -> _Rows:
     rc = RealizationConfig(seed=seed, dt=t_max / (steps - 1), t_max=t_max)
-    real = sample_realization(params, state, osc, rc)
-    return {
-        "t": real.times,
-        "sample": real.values,
-        "envelope_plus": real.envelope,
-        "envelope_minus": -real.envelope,
-    }
+
+    def blocks(names):
+        parts = tuple(_SAMPLE_PARTS[name] for name in names)
+        for block in realization_blocks(params, state, osc, rc, _BLOCK_ROWS, parts):
+            yield [-part if name == "envelope_minus" else part for name, part in zip(names, block)]
+
+    return _Rows(tuple(_SAMPLE_PARTS), blocks)
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
     params = SystemParams(args.omega, args.coupling)
     t_max = _t_max(args, params)
     columns = _trace_columns(params, BellState(args.state), t_max, args.steps)
-    _emit(args, columns, _metadata(args, "trace", t_max=t_max))
+    _emit(args, _array_rows(columns), _metadata(args, "trace", t_max=t_max))
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     couplings = _couplings(args)
     columns = _sweep_columns(args.omega, BellState(args.state), couplings)
-    _emit(args, columns, _metadata(args, "sweep", couplings=couplings))
+    _emit(args, _array_rows(columns), _metadata(args, "sweep", couplings=couplings))
     return 0
 
 
@@ -402,8 +496,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
     params = SystemParams(args.omega, args.coupling)
     t_max = _t_max(args, params)
     osc = OscillatorIndex(args.oscillator)
-    columns = _sample_columns(params, BellState(args.state), osc, args.seed, t_max, args.steps)
-    _emit(args, columns, _metadata(args, "sample", t_max=t_max))
+    rows = _sample_columns(params, BellState(args.state), osc, args.seed, t_max, args.steps)
+    _emit(args, rows, _metadata(args, "sample", t_max=t_max))
     return 0
 
 
@@ -417,9 +511,9 @@ def cmd_figures(args: argparse.Namespace) -> int:
     else:
         t_max = args.t_max
 
-    # Every file's columns are built before the first file is written, so a
-    # config error leaves no partial result.  The traces come first, so their
-    # grid guard rejects --steps before the sample allocates it; each keeps
+    # Every file's columns are built, and fig2's realization configured (it is
+    # drawn a block at a time as it is written), before the first file is
+    # written, so a config error leaves no partial result.  Each trace keeps
     # only the columns that fig3-fig6 plot.
     traces = {}
     for g in FIGURE_COUPLINGS:
@@ -430,7 +524,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
     files = [
         (
             "fig1.csv",
-            _sweep_columns(args.omega, state, _couplings(args)),
+            _array_rows(_sweep_columns(args.omega, state, _couplings(args))),
             {
                 "figure": 1,
                 "quantity": "relative envelope frequency and period statistics vs coupling",
@@ -464,13 +558,13 @@ def cmd_figures(args: argparse.Namespace) -> int:
             "state": args.state,
             "couplings": list(FIGURE_COUPLINGS),
         }
-        files.append((f"fig{number}.csv", columns, entry))
+        files.append((f"fig{number}.csv", _array_rows(columns), entry))
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name, columns, _ in files:
+    for name, rows, _ in files:
         with open(out / name, "w", newline="", encoding="utf-8") as fh:
-            _write_csv(fh, columns)
+            _write_csv(fh, rows)
     index = {
         "omega": args.omega,
         "state": args.state,
@@ -657,12 +751,31 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
     return joined
 
 
+def _pipe_closed() -> int:
+    """Stop quietly after the reader of an output pipe went away.
+
+    Returns the status a shell reports for a writer ended by SIGPIPE.  When
+    that pipe is stdout, its descriptor is pointed at /dev/null, because
+    Python flushes what stdout still buffers once more at exit.  Signal
+    handlers stay as they are, so a caller of ``main`` keeps its own.
+    """
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return EXIT_PIPE_CLOSED
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(_attach_negative_values(argv))
     try:
+        args = parser.parse_args(_attach_negative_values(argv))
         return args.handler(args)
+    except BrokenPipeError:
+        return _pipe_closed()
     except (ValueError, fock.ConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,6 +7,11 @@ time steps; the sampled traces stay confined by the +-envelope in the usual
 Gaussian sense.  The counter-based Philox generator makes output a pure
 function of (params, state, oscillator, config), so parallel sweeps with
 distinct seeds stay reproducible.
+
+``realization_blocks`` makes a realization in consecutive blocks of grid
+points, all drawn from one Philox stream, so a caller that writes each block
+out holds O(block) values at any grid size.  ``sample_realization`` fills
+whole arrays from the same blocks; the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -19,9 +24,11 @@ import numpy as np
 from .analytic import normalized_x_fluctuation
 from .model import BellState, OscillatorIndex, SystemParams
 
-__all__ = ["RealizationConfig", "Realization", "sample_realization"]
+__all__ = ["RealizationConfig", "Realization", "realization_blocks", "sample_realization"]
 
 MAX_GRID_POINTS = 10**7
+_BLOCK_ROWS = 8192  # grid points per block when sample_realization fills whole arrays
+PARTS = ("times", "values", "envelope")  # the fields of Realization, in order
 
 
 @dataclass(frozen=True)
@@ -47,10 +54,14 @@ class RealizationConfig:
                 f"than the {MAX_GRID_POINTS:.0e} point guard"
             )
 
+    @property
+    def points(self) -> int:
+        """Number of grid points."""
+        return int(math.floor(self.t_max / self.dt + 1e-9)) + 1
+
     def grid(self) -> np.ndarray:
         """Times 0, dt, 2 dt, ... covering [0, t_max]."""
-        n = int(math.floor(self.t_max / self.dt + 1e-9)) + 1
-        return self.dt * np.arange(n)
+        return self.dt * np.arange(self.points)
 
 
 @dataclass(frozen=True)
@@ -60,6 +71,34 @@ class Realization:
     times: np.ndarray
     values: np.ndarray
     envelope: np.ndarray
+
+
+def realization_blocks(
+    params: SystemParams,
+    state: BellState,
+    osc: OscillatorIndex,
+    config: RealizationConfig,
+    rows: int,
+    parts: tuple[str, ...] = PARTS,
+):
+    """Yield the realization in consecutive blocks of at most ``rows`` grid points.
+
+    Each block is a tuple of the named ``parts`` of ``Realization`` for its
+    grid points, in the order asked.  A block computes only what those parts
+    need: the times alone need no envelope, and only "values" draws random
+    numbers.  The draws come from one Philox stream in grid order, so the
+    blocks join into ``sample_realization``'s arrays bit for bit.
+    """
+    rng = np.random.Generator(np.random.Philox(key=int(config.seed)))
+    n = config.points
+    for start in range(0, n, rows):
+        block = {"times": config.dt * np.arange(start, min(start + rows, n))}
+        if "envelope" in parts or "values" in parts:
+            envelope = normalized_x_fluctuation(params, state, osc, block["times"])
+            block["envelope"] = np.asarray(envelope, dtype=float)
+        if "values" in parts:
+            block["values"] = block["envelope"] * rng.standard_normal(len(block["times"]))
+        yield tuple(block[part] for part in parts)
 
 
 def sample_realization(
@@ -72,8 +111,11 @@ def sample_realization(
 
     Identical inputs reproduce identical output bit for bit.
     """
-    times = config.grid()
-    envelope = np.asarray(normalized_x_fluctuation(params, state, osc, times), dtype=float)
-    rng = np.random.Generator(np.random.Philox(key=int(config.seed)))
-    values = envelope * rng.standard_normal(times.size)
-    return Realization(times=times, values=values, envelope=envelope)
+    whole = [np.empty(config.points) for _ in PARTS]
+    start = 0
+    for block in realization_blocks(params, state, osc, config, _BLOCK_ROWS):
+        stop = start + len(block[0])
+        for array, part in zip(whole, block):
+            array[start:stop] = part
+        start = stop
+    return Realization(*whole)

@@ -72,8 +72,11 @@ def test_checker_accepts_verify(coupling, capsys):
     assert outcome.failed == 0
 
 
-def test_checker_accepts_sample_csv(tmp_path, capsys):
-    path, steps, seed = tmp_path / "sample.csv", 2000, 7
+@pytest.mark.parametrize(
+    "steps", [2000, 2 * cli._BLOCK_ROWS + 5], ids=["one-block", "three-blocks"]
+)
+def test_checker_accepts_sample_csv(steps, tmp_path, capsys):
+    path, seed = tmp_path / "sample.csv", 7
     rc = cli.main(["sample", "--steps", str(steps), "--seed", str(seed), "--output", str(path)])
     assert rc == 0
     assert CHECKS.check_sample_csv(str(path), steps, seed, row_seed=1) == []

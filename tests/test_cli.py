@@ -5,20 +5,26 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bellosc import analytic, cli
-from bellosc.cli import _BLOCK_ROWS, _tokens, _write_csv, _write_json, main
+from bellosc.cli import _BLOCK_ROWS, _array_rows, _tokens, _write_csv, _write_json, main
 from bellosc.model import BellState, OscillatorIndex, SystemParams, default_t_max
 from bellosc.sampler import RealizationConfig, sample_realization
 
 PSI_P = BellState.PSI_PLUS
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 TRACE_HEADER = "t,dx1,dx2,dp1,dp2,up1,up2,dx1_nc,dp1_nc,up1_nc,up2_nc"
 SWEEP_HEADER = (
@@ -113,11 +119,11 @@ def writer_columns(draw):
 def assert_writers_match_reference(columns):
     expected, actual = io.StringIO(), io.StringIO()
     reference_csv(expected, columns)
-    _write_csv(actual, columns)
+    _write_csv(actual, _array_rows(columns))
     assert actual.getvalue() == expected.getvalue()
     expected, actual = io.StringIO(), io.StringIO()
     reference_json(expected, columns, METADATA)
-    _write_json(actual, columns, METADATA)
+    _write_json(actual, _array_rows(columns), METADATA)
     assert actual.getvalue() == expected.getvalue()
 
 
@@ -217,32 +223,50 @@ class TestWriters:
 
 
 def capture_writers(monkeypatch):
-    """Record (path, columns, metadata) of every file the writers fill, then write it."""
+    """Record (path, row source, metadata) of every file the writers fill, then write it."""
     written = []
 
-    def csv_writer(stream, columns):
-        written.append((stream.name, columns, None))
-        _write_csv(stream, columns)
+    def csv_writer(stream, rows):
+        written.append((stream.name, rows, None))
+        _write_csv(stream, rows)
 
-    def json_writer(stream, columns, metadata):
-        written.append((stream.name, columns, metadata))
-        _write_json(stream, columns, metadata)
+    def json_writer(stream, rows, metadata):
+        written.append((stream.name, rows, metadata))
+        _write_json(stream, rows, metadata)
 
     monkeypatch.setattr(cli, "_write_csv", csv_writer)
     monkeypatch.setattr(cli, "_write_json", json_writer)
     return written
 
 
-def assert_files_match_reference(written):
-    assert written
-    for path, columns, metadata in written:
-        expected = io.StringIO()
-        if metadata is None:
-            reference_csv(expected, columns)
-        else:
-            reference_json(expected, columns, metadata)
-        with open(path, "rb") as fh:
-            assert fh.read().decode("utf-8") == expected.getvalue(), path
+def array_columns(rows):
+    """The columns of a row source backed by whole arrays, its block slices joined."""
+    blocks = list(rows.blocks(rows.names))
+    assert all(part.base is not None for block in blocks for part in block)  # views
+    return {name: np.concatenate([b[i] for b in blocks]) for i, name in enumerate(rows.names)}
+
+
+def sample_columns(coupling, seed, t_max, steps):
+    """A `sample` file's columns, from sample_realization's whole arrays."""
+    config = RealizationConfig(seed=seed, dt=t_max / (steps - 1), t_max=t_max)
+    real = sample_realization(SystemParams(1.0, coupling), PSI_P, OscillatorIndex.ONE, config)
+    return {
+        "t": real.times,
+        "sample": real.values,
+        "envelope_plus": real.envelope,
+        "envelope_minus": -real.envelope,
+    }
+
+
+def assert_file_matches_reference(path, columns, metadata):
+    """The file at ``path`` holds ``columns`` as the per-value reference writers put them."""
+    expected = io.StringIO()
+    if metadata is None:
+        reference_csv(expected, columns)
+    else:
+        reference_json(expected, columns, metadata)
+    with open(path, "rb") as fh:
+        assert fh.read().decode("utf-8") == expected.getvalue(), path
 
 
 _MANY_STEPS = str(2 * _BLOCK_ROWS + 5)
@@ -252,38 +276,58 @@ class TestExportIdentity:
     """Exported files equal the per-value reference writers on the same columns."""
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("sample", "--coupling", "0.8", "--steps", _MANY_STEPS, "--seed", "11"),
-            ("trace", "--coupling", "0.3", "--steps", _MANY_STEPS),
-        ],
-        ids=["sample", "trace"],
-    )
-    def test_multi_block_exports(self, argv, fmt, tmp_path, monkeypatch, capsys):
+    def test_multi_block_trace(self, fmt, tmp_path, monkeypatch, capsys):
         written = capture_writers(monkeypatch)
         out_file = tmp_path / f"out.{fmt}"
+        argv = ("trace", "--coupling", "0.3", "--steps", _MANY_STEPS)
         code, _, err = run(capsys, *argv, "--format", fmt, "--output", str(out_file))
         assert code == 0 and err == ""
-        assert all(len(col) > 2 * _BLOCK_ROWS for col in written[0][1].values())
-        assert_files_match_reference(written)
+        [(path, rows, metadata)] = written
+        columns = array_columns(rows)
+        assert all(len(col) > 2 * _BLOCK_ROWS for col in columns.values())
+        assert_file_matches_reference(path, columns, metadata)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("block_rows", [_BLOCK_ROWS, 7])
+    def test_streamed_sample(self, block_rows, fmt, tmp_path, monkeypatch, capsys):
+        # The reference is built from sample_realization's whole arrays, not
+        # from the stream the writers read.
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+        written = capture_writers(monkeypatch)
+        steps = 2 * block_rows + 5
+        out_file = tmp_path / f"sample.{fmt}"
+        argv = ("sample", "--coupling", "0.8", "--steps", str(steps), "--seed", "11")
+        code, _, err = run(capsys, *argv, "--format", fmt, "--output", str(out_file))
+        assert code == 0 and err == ""
+        [(path, _, metadata)] = written
+        t_max = default_t_max(SystemParams(1.0, 0.8))
+        assert_file_matches_reference(path, sample_columns(0.8, 11, t_max, steps), metadata)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_sweep_strided_columns_across_blocks(self, fmt, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "_BLOCK_ROWS", 7)  # 81 rows in 12 blocks
+        monkeypatch.setattr(cli, "_PIECE_ROWS", 3)  # each block in pieces of 3, 3 and 1 rows
         written = capture_writers(monkeypatch)
         out_file = tmp_path / f"sweep.{fmt}"
         code, _, err = run(capsys, "sweep", "--format", fmt, "--output", str(out_file))
         assert code == 0 and err == ""
-        assert not any(col.flags.c_contiguous for col in written[0][1].values())
-        assert_files_match_reference(written)
+        [(path, rows, metadata)] = written
+        blocks = list(rows.blocks(rows.names))
+        assert not any(part.flags.c_contiguous for part in blocks[0])
+        assert_file_matches_reference(path, array_columns(rows), metadata)
 
     def test_figures(self, tmp_path, monkeypatch, capsys):
         written = capture_writers(monkeypatch)
         code = main(["figures", "--out-dir", str(tmp_path), "--steps", "64", "--seed", "3"])
         assert code == 0
-        assert len(written) == 6
-        assert_files_match_reference(written)
+        assert [Path(path).name for path, _, _ in written] == [f"fig{i}.csv" for i in range(1, 7)]
+        t_max = json.loads((tmp_path / "index.json").read_text())["t_max"]
+        for path, rows, metadata in written:
+            if Path(path).name == "fig2.csv":
+                columns = sample_columns(0.8, 3, t_max, 64)
+            else:
+                columns = array_columns(rows)
+            assert_file_matches_reference(path, columns, metadata)
 
 
 class TestTrace:
@@ -446,6 +490,20 @@ class TestSample:
         cols = read_columns(out_file)
         violations = np.sum(np.abs(cols["sample"]) > 4.0 * cols["envelope_plus"])
         assert violations / len(cols["sample"]) < 1e-4
+
+    def test_memory_does_not_grow_with_steps(self, tmp_path, capsys):
+        # 300 000 rows make 2.4 MB per column, and whole columns peaked at 13.0
+        # MB here; streamed blocks of _BLOCK_ROWS rows peak at 2.9 MB.
+        path = str(tmp_path / "sample.csv")
+        assert main(["sample", "--steps", "1000", "--output", path]) == 0  # lazy set-up
+        tracemalloc.start()
+        try:
+            code = main(["sample", "--steps", "300000", "--output", path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 6e6
 
     def test_steps_above_grid_guard_is_config_error(self, capsys):
         # 10^7 + 1 grid points, one more than trace accepts; rejected before any allocation
@@ -796,6 +854,39 @@ class TestExitCodes:
                 code = exc.code
         assert code in (0, 1, 2), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("trace", "--steps", "100000"),
+            ("trace", "--steps", "100000", "--format", "json"),
+            ("sample", "--steps", "10000000"),  # streamed: stops after its first block
+        ],
+        ids=["trace-csv", "trace-json", "sample"],
+    )
+    def test_closed_stdout_stops_quietly(self, argv):
+        path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        with subprocess.Popen(
+            [sys.executable, "-m", "bellosc", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as proc:
+            try:
+                header = proc.stdout.readline()
+                proc.stdout.close()  # the reader goes away, as `| head -1` does
+                _, err = proc.communicate(timeout=60)
+            finally:
+                proc.kill()
+        assert header.startswith(b"t,") or header == b"{\n"
+        assert proc.returncode == 141
+        assert err == b""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_output_device_is_config_error(self, capsys):
+        code, out, err = run(capsys, "trace", "--steps", "100000", "--output", "/dev/full")
+        assert code == 2
+        assert out == ""
+        assert one_error_line(err) and "No space left" in err
 
     def test_unknown_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from bellosc import sampler
 from bellosc.analytic import normalized_x_fluctuation
 from bellosc.model import BellState, OscillatorIndex, SystemParams
-from bellosc.sampler import RealizationConfig, sample_realization
+from bellosc.sampler import RealizationConfig, realization_blocks, sample_realization
 
 PSI_P = BellState.PSI_PLUS
 OSC1 = OscillatorIndex.ONE
@@ -54,6 +55,54 @@ class TestDeterminism:
         a = sample_realization(params, PSI_P, OSC1, RealizationConfig(0, 0.25, 10.0))
         b = sample_realization(params, PSI_P, OSC1, RealizationConfig(1, 0.25, 10.0))
         assert not np.array_equal(a.values, b.values)
+
+
+BLOCK = sampler._BLOCK_ROWS  # grid points per block when sample_realization fills its arrays
+
+
+class TestBlocks:
+    """The realization made a block at a time is the whole-array realization."""
+
+    @pytest.mark.parametrize(
+        "n", [BLOCK, 3 * BLOCK, 3 * BLOCK + 1], ids=["one", "multiple", "past"]
+    )
+    def test_blocks_join_into_sample_realization(self, n):
+        params = SystemParams(1.0, 0.8)
+        config = RealizationConfig(seed=5, dt=0.5, t_max=0.5 * (n - 1))
+        real = sample_realization(params, PSI_P, OSC1, config)
+        assert len(real.times) == n
+        # the draws of one whole-array call, as before blocks existed
+        times = config.dt * np.arange(n)
+        envelope = normalized_x_fluctuation(params, PSI_P, OSC1, times)
+        rng = np.random.Generator(np.random.Philox(key=5))
+        whole = (times, envelope * rng.standard_normal(n), envelope)
+        for got, want in zip((real.times, real.values, real.envelope), whole):
+            assert got.tobytes() == want.tobytes()
+        for rows in (BLOCK, 7, n):
+            blocks = list(realization_blocks(params, PSI_P, OSC1, config, rows))
+            assert len(blocks) == -(-n // rows)
+            for part, want in zip(zip(*blocks), whole):
+                assert np.concatenate(part).tobytes() == want.tobytes()
+
+    def test_any_parts_match_the_whole_realization(self):
+        params = SystemParams(1.0, 0.5)
+        config = RealizationConfig(seed=9, dt=0.25, t_max=0.25 * 40)
+        real = sample_realization(params, PSI_P, OSC1, config)
+        for parts in [("times",), ("values",), ("envelope", "times"), ("envelope", "envelope")]:
+            blocks = list(realization_blocks(params, PSI_P, OSC1, config, 16, parts))
+            assert [len(block) for block in blocks] == [len(parts)] * 3
+            for i, part in enumerate(parts):
+                joined = np.concatenate([block[i] for block in blocks])
+                assert joined.tobytes() == getattr(real, part).tobytes()
+
+    def test_times_alone_need_no_envelope(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("envelope computed")
+
+        monkeypatch.setattr(sampler, "normalized_x_fluctuation", fail)
+        config = RealizationConfig(seed=9, dt=0.25, t_max=10.0)
+        blocks = realization_blocks(SystemParams(1.0, 0.5), PSI_P, OSC1, config, 16, ("times",))
+        assert np.concatenate([times for (times,) in blocks]).tobytes() == config.grid().tobytes()
 
 
 class TestEnvelopeStatistics:
