@@ -402,7 +402,7 @@ def _trace_columns(
     tr = analytic.trace(params, state, 0.0, t_max, steps)
     amp1_nc, up1_nc = analytic.baseline_nc(state, OscillatorIndex.ONE)
     _, up2_nc = analytic.baseline_nc(state, OscillatorIndex.TWO)
-    ones = np.ones_like(tr.times)
+    n = len(tr.times)  # each baseline is one value repeated: a zero-stride view
     return {
         "t": tr.times,
         "dx1": tr.dx1,
@@ -411,10 +411,10 @@ def _trace_columns(
         "dp2": tr.dp2,
         "up1": tr.up1,
         "up2": tr.up2,
-        "dx1_nc": amp1_nc * ones,
-        "dp1_nc": amp1_nc * ones,
-        "up1_nc": up1_nc * ones,
-        "up2_nc": up2_nc * ones,
+        "dx1_nc": np.broadcast_to(amp1_nc, n),
+        "dp1_nc": np.broadcast_to(amp1_nc, n),
+        "up1_nc": np.broadcast_to(up1_nc, n),
+        "up2_nc": np.broadcast_to(up2_nc, n),
     }
 
 

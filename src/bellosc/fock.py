@@ -9,9 +9,9 @@ enters; the one model input is the pair of normal-mode frequencies omega and
 eta * omega (``model.mode_frequency``) at which the Bell-state ladder
 operators are built.
 
-:func:`solve` builds all of this once per ``(params, basis)`` and returns a
-:class:`SolvedSystem` of read-only real arrays, which every oracle check reads;
-each momentum p is held as the real antisymmetric matrix q with p = i q.
+:func:`solve` builds all of this once per ``(params, basis)`` as plain arrays
+and returns a :class:`SolvedSystem`, the one place that checks and freezes
+them; every oracle check reads it.  Each momentum p = i q is held as its real q.
 
 Truncation corrupts only the top Fock levels, so operator identities are
 meaningful on the low-lying subspace where every occupation stays well below
@@ -56,8 +56,8 @@ class ConvergenceError(RuntimeError):
 class OperatorMatrix:
     """Validator of one observable matrix: square, dim >= 2 and Hermitian.
 
-    Construction freezes the array read-only; the builders below keep only
-    ``.matrix``.
+    Construction freezes the array read-only.  :func:`solve` does not use it;
+    it stays as the hook of the benchmark's ``fock.operator_matrix.*`` metrics.
     """
 
     matrix: np.ndarray
@@ -158,21 +158,19 @@ def bare_quadratures(
 
     Each factor is represented in its own number basis at
     :func:`basis_frequency`; each momentum p = i q is returned as its real q.
+    kron copies entries, so each x is exactly symmetric and each q antisymmetric.
     """
     x, q = _mode_quadratures(basis.cutoff, basis_frequency(params))
     eye = np.eye(basis.levels)
-    x1, x2 = (OperatorMatrix(m).matrix for m in (np.kron(x, eye), np.kron(eye, x)))
-    return x1, x2, np.kron(q, eye), np.kron(eye, q)
+    return np.kron(x, eye), np.kron(eye, x), np.kron(q, eye), np.kron(eye, q)
 
 
 def normal_mode_quadratures(
     x1: np.ndarray, x2: np.ndarray, q1: np.ndarray, q2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Collective (X+, X-, Q+, Q-) with X± = (x1 ± x2)/sqrt(2) and P± = i Q±."""
+    """Collective (X+, X-, Q+, Q-) = (x1 ± x2, q1 ± q2)/sqrt(2) with P± = i Q±, as plain arrays."""
     inv = 1.0 / np.sqrt(2.0)
-    xp = OperatorMatrix(inv * (x1 + x2)).matrix
-    xm = OperatorMatrix(inv * (x1 - x2)).matrix
-    return xp, xm, inv * (q1 + q2), inv * (q1 - q2)
+    return inv * (x1 + x2), inv * (x1 - x2), inv * (q1 + q2), inv * (q1 - q2)
 
 
 def coupled_hamiltonian(params: SystemParams, basis: TwoModeBasis) -> np.ndarray:
@@ -182,7 +180,8 @@ def coupled_hamiltonian(params: SystemParams, basis: TwoModeBasis) -> np.ndarray
     single-mode product lifted onto the product space, x1^2 = kron(x @ x, 1)
     and x1 x2 = kron(x, x), which equals the product of the lifted matrices,
     and p^2 = (i q)^2 = -q q.  Both factors use the number basis of
-    :func:`bare_quadratures`.
+    :func:`bare_quadratures`.  x and q are tridiagonal, so an entry of x @ x or
+    q @ q sums the same products as its mirror, and H is exactly symmetric.
     """
     x, q = _mode_quadratures(basis.cutoff, basis_frequency(params))
     xx, pp = x @ x, -(q @ q)
@@ -191,8 +190,7 @@ def coupled_hamiltonian(params: SystemParams, basis: TwoModeBasis) -> np.ndarray
     diff_sq = x_sq - 2.0 * np.kron(x, x)
     w2 = params.omega**2
     big_omega2 = (params.coupling_ratio * params.omega) ** 2
-    h = 0.5 * (np.kron(pp, eye) + np.kron(eye, pp) + w2 * x_sq + big_omega2 * diff_sq)
-    return OperatorMatrix(h).matrix
+    return 0.5 * (np.kron(pp, eye) + np.kron(eye, pp) + w2 * x_sq + big_omega2 * diff_sq)
 
 
 def hamiltonian_eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -214,9 +212,10 @@ class SolvedSystem:
     part q: p1 = i q1, p2 = i q2, P+ = i qp and P- = i qm.  ``h`` is real
     symmetric and ``energies, vectors`` its eigensystem (ascending,
     eigenvectors as columns); ``ground`` is the lowest eigenvector.
-    Construction freezes every array and raises ``ValueError`` if one is not
-    float64 or a q is not exactly antisymmetric, which makes each i q
-    Hermitian.
+    Construction is the one check of the oracle's arrays: it freezes each one
+    and raises ``ValueError``, naming the field, unless every array is
+    float64, x1, x2, xp, xm and h equal their transpose and q1, q2, qp, qm
+    minus their transpose, exactly; so every x and every i q is Hermitian.
     """
 
     params: SystemParams
@@ -236,13 +235,13 @@ class SolvedSystem:
 
     def __post_init__(self) -> None:
         for field in fields(self)[2:]:  # every field after params and basis is an array
-            m = getattr(self, field.name)
+            name, m = field.name, getattr(self, field.name)
             if getattr(m, "dtype", None) != np.float64:
-                raise ValueError(f"{field.name} must be a real float64 array")
+                raise ValueError(f"{name} must be a real float64 array")
             m.setflags(write=False)
-        for name in ("q1", "q2", "qp", "qm"):
-            q = getattr(self, name)
-            if not np.array_equal(q.T, -q):
+            if name in ("x1", "x2", "xp", "xm", "h") and not np.array_equal(m.T, m):
+                raise ValueError(f"{name} must be symmetric")
+            if name in ("q1", "q2", "qp", "qm") and not np.array_equal(m.T, -m):
                 raise ValueError(f"{name} must be antisymmetric")
 
     def normal_modes(self) -> tuple[tuple[np.ndarray, np.ndarray, float], ...]:

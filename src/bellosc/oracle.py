@@ -191,7 +191,11 @@ def _real_times(a: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def _evolve(system: SolvedSystem, coeffs: np.ndarray, times) -> np.ndarray:
     """exp(-i H t) applied to states given by their eigenbasis coefficients (rows)."""
-    phases = np.exp(-1j * np.multiply.outer(system.energies, times))
+    arg = np.multiply.outer(system.energies, times)
+    phases = np.empty(arg.shape, dtype=np.complex128)  # cos(E t) - i sin(E t), no complex exp
+    np.cos(arg, out=phases.real)
+    np.sin(arg, out=phases.imag)
+    np.negative(phases.imag, out=phases.imag)
     return _real_times(system.vectors, phases * coeffs)
 
 

@@ -5,7 +5,8 @@ must accept the program's output.
 reports a name it cannot find as absent, which leaves that metric out of the
 benchmark result.  ``perfbench/checks.py`` parses every line ``verify`` prints
 and compares exported cells with its own reference values; a run it rejects
-counts as a failed operation.  These tests load both modules by path and read
+counts as a failed operation; a traced run must report a value for every
+per-layer metric.  These tests load both modules by path and read
 ``BENCHMARK.json`` (and change none of them), so a refactor that drops a
 traced function or changes ``verify``'s lines or the export bytes fails here
 instead.
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from bellosc import cli
+from bellosc import cli, fock
 
 ROOT = Path(__file__).resolve().parents[1]
 UNTRACED_METRICS = {"trace.overhead_s", "cli.bytes_written"}  # measured by the harness itself
@@ -87,3 +88,31 @@ def test_checker_accepts_trace_json(tmp_path, capsys):
     rc = cli.main(["trace", "--steps", str(steps), "--format", "json", "--output", str(path)])
     assert rc == 0
     assert CHECKS.check_trace_json(str(path), steps, row_seed=1) == []
+
+
+def test_traced_run_reports_every_layer_metric(tmp_path, capsys):
+    # the benchmark's traced run installs the tracer around whole CLI calls;
+    # its result carries one value per per_layer metric, or the run is refused
+    per_layer = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    cmd_verify, bell_vector = cli.cmd_verify, fock.bell_vector
+    tracer = TRACER.Tracer()
+    tracer.iteration = 0
+    tracer.install()
+    try:
+        rc = cli.main(["verify"])
+        verify_out = capsys.readouterr().out
+        trace_path, sample_path = str(tmp_path / "trace.json"), str(tmp_path / "sample.csv")
+        assert cli.main(["trace", "--steps", "50", "--format", "json", "--output", trace_path]) == 0
+        assert cli.main(["sample", "--steps", "50", "--output", sample_path]) == 0
+    finally:
+        tracer.uninstall()
+    metrics, absent = tracer.layer_metrics(1)
+    assert absent == []
+    assert set(metrics) == {m["name"] for m in per_layer} - UNTRACED_METRICS
+    calls = {name: stats["calls"] for name, stats in tracer.aggregate().items()}
+    assert [calls.get(f"cli.cmd_{c}") for c in ("verify", "trace", "sample")] == [1, 1, 1]
+    assert metrics["fock.operator_matrix.count"]["value"] == 0  # solve builds plain arrays
+    outcome = CHECKS.check_verify(verify_out, rc)
+    assert outcome.problems == []
+    assert outcome.failed == 0
+    assert cli.cmd_verify is cmd_verify and fock.bell_vector is bell_vector  # uninstalled

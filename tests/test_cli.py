@@ -391,6 +391,22 @@ class TestTrace:
         assert set(payload["columns"]) == set(TRACE_HEADER.split(","))
         assert len(payload["columns"]["dx1"]) == 4
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_constant_baselines_hold_no_full_column(self, fmt, tmp_path, capsys):
+        # 300 000 rows make 2.4 MB per column.  The seven computed columns and
+        # their temporaries peaked at 23.0 (csv) / 21.7 (json) MB here; the four
+        # constant baselines as full arrays added about 9.6 MB (32.6 / 28.9 MB).
+        path = str(tmp_path / f"trace.{fmt}")
+        assert main(["trace", "--steps", "1000", "--format", fmt, "--output", path]) == 0
+        tracemalloc.start()
+        try:
+            code = main(["trace", "--steps", "300000", "--format", fmt, "--output", path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 26e6
+
     def test_bad_steps_is_config_error(self, capsys):
         code, _, err = run(capsys, "trace", "--steps", "1")
         assert code == 2

@@ -20,6 +20,8 @@ from bellosc.model import BellState, SystemParams, eta
 ARRAY_FIELDS = (
     "x1", "x2", "q1", "q2", "xp", "xm", "qp", "qm", "h", "energies", "vectors", "ground",
 )
+SYMMETRIC_FIELDS = ("x1", "x2", "xp", "xm", "h")
+ANTISYMMETRIC_FIELDS = ("q1", "q2", "qp", "qm")
 
 
 def bare_ladders(params, basis):
@@ -190,6 +192,22 @@ class TestTwoModeBasis:
         assert np.all((n1[basis.mask_below_cutoff()] <= 2) & (n2[basis.mask_below_cutoff()] <= 2))
 
 
+def _nudge_off_diagonal(h):
+    """A copy of h with its first nonzero off-diagonal entry (0, j) moved by one ulp."""
+    out = h.copy()
+    j = 1 + np.flatnonzero(out[0, 1:])[0]
+    out[0, j] = np.nextafter(out[0, j], np.inf)
+    return out
+
+
+EXACT_STRUCTURE_SETTINGS = [
+    (omega, g, cutoff)
+    for cutoff in (3, 6, 12)
+    for omega in (1e-150, 0.3, 1.0, 7.0, 1e150)
+    for g in (0.0, 0.05, 0.5, 1.5, 4.8, 100.0)
+] + [(1e-150, 0.5, 20), (1.0, 1.5, 20), (7.0, 100.0, 20), (1e150, 4.8, 20)]
+
+
 class TestSolvedSystem:
     def test_arrays_are_read_only(self):
         system = solve(SystemParams(1.0, 0.5), TwoModeBasis(4))
@@ -219,12 +237,25 @@ class TestSolvedSystem:
             ("qm", lambda s: s.qm + 0j),  # complex momentum part
             ("x2", lambda s: s.x2 + 0j),  # complex coordinate
             ("vectors", lambda s: s.vectors.astype(np.float32)),
+            ("x1", lambda s: s.x1 + 1e-3 * s.q1),  # no longer symmetric
+            ("h", lambda s: _nudge_off_diagonal(s.h)),  # one entry one ulp off its mirror
         ],
     )
     def test_rejects_a_system_without_the_structure(self, field, tamper):
         system = solve(SystemParams(1.0, 0.5), TwoModeBasis(6))
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(ValueError, match=f"^{field} must"):
             dataclasses.replace(system, **{field: tamper(system)})
+
+    @pytest.mark.parametrize("omega, g, cutoff", EXACT_STRUCTURE_SETTINGS)
+    def test_solve_arrays_are_exactly_symmetric_or_antisymmetric(self, omega, g, cutoff):
+        # the check in SolvedSystem is exact, so solve must meet it at every setting
+        system = solve(SystemParams(omega, g), TwoModeBasis(cutoff))
+        for name in SYMMETRIC_FIELDS:
+            array = getattr(system, name)
+            assert np.array_equal(array.T, array), name
+        for name in ANTISYMMETRIC_FIELDS:
+            array = getattr(system, name)
+            assert np.array_equal(array.T, -array), name
 
     def test_hamiltonian_is_real_symmetric(self):
         h = solve(SystemParams(1.0, 0.8), TwoModeBasis(6)).h

@@ -14,6 +14,7 @@ from bellosc.model import (
     OscillatorIndex,
     SystemParams,
     beat_frequency,
+    default_t_max,
     mode_frequency,
 )
 from bellosc.oracle import (
@@ -265,6 +266,35 @@ class TestEvolveExpectations:
             second = np.einsum("it,it->t", image.conj(), image).real
             dense = np.sqrt(np.maximum(second - first**2, 0.0) * norm_sq)
             assert np.max(np.abs(getattr(evolved, col) - dense)) <= 1e-12, col
+
+    @pytest.mark.parametrize(
+        "omega, g, cutoff", [(1e-150, 0.5, 6), (1.0, 1.5, 12), (1e150, 0.0, 20)]
+    )
+    def test_phases_are_the_bits_of_the_complex_exponential(self, monkeypatch, omega, g, cutoff):
+        # the oracle writes cos and -sin of E t; the reference takes np.exp of -i E t
+        params = SystemParams(omega, g)
+        system = solve(params, TwoModeBasis(cutoff))
+        coeffs = system.vectors[:, :1]  # any real coefficients: U(t) is compared directly
+
+        def exp_evolve(system, coeffs, times):
+            phases = np.exp(-1j * np.multiply.outer(system.energies, times))
+            return oracle._real_times(system.vectors, phases * coeffs)
+
+        for times in (
+            np.linspace(0.0, default_t_max(params), 200),
+            np.array([1.0 / omega]),
+            np.linspace(0.0, 1e7, 200),
+        ):
+            direct = oracle._evolve(system, coeffs, times)
+            expected = exp_evolve(system, coeffs, times)
+            assert np.array_equal(direct.view(np.uint64), expected.view(np.uint64))
+            evolved = evolve_expectations(system, PSI_M, times)
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "_evolve", exp_evolve)
+                reference = evolve_expectations(system, PSI_M, times)
+            for col in ("dx1", "dx2", "dp1", "dp2"):
+                ours, ref = getattr(evolved, col), getattr(reference, col)
+                assert np.array_equal(ours.view(np.uint64), ref.view(np.uint64)), col
 
     def test_time_blocks_agree_with_one_block(self, monkeypatch):
         system = solve(SystemParams(1.0, 0.8), TwoModeBasis(10))
