@@ -1,15 +1,17 @@
-"""Dense operator matrices on a truncated two-oscillator Fock space.
+"""Two coupled oscillators on a truncated Fock space, in single-oscillator factors.
 
-The verification oracle represents every observable as a dense matrix in the
-product number basis |n1, n2> of the two bare oscillators (each factor built
-at the basis frequency det(K)^(1/4), see :func:`basis_frequency`),
-diagonalizes the coupled Hamiltonian exactly, and prepares the entangled
-states from the numerical ground state.  No closed-form amplitude result
-enters; the one model input is the pair of normal-mode frequencies omega and
-eta * omega (``model.mode_frequency``) at which the Bell-state ladder
-operators are built.
+The verification oracle works in the product number basis |n1, n2> of the two
+bare oscillators (each factor built at the basis frequency det(K)^(1/4), see
+:func:`basis_frequency`), diagonalizes the coupled Hamiltonian exactly, and
+prepares the entangled states from the numerical ground state.  No
+closed-form amplitude result enters; the one model input is the pair of
+normal-mode frequencies omega and eta * omega (``model.mode_frequency``) at
+which the Bell-state ladder operators are built.
 
-:func:`solve` builds all of this once per ``(params, basis)`` as plain arrays
+Every observable except H is kron(m, 1) or kron(1, m) of a single-oscillator
+matrix m, and :func:`lift` applies it through m alone; only H is held as a
+dense product-space matrix, for its eigensolve.  :func:`solve` builds the
+factors, H and its eigensystem once per ``(params, basis)`` as plain arrays
 and returns a :class:`SolvedSystem`, the one place that checks and freezes
 them; every oracle check reads it.  Each momentum p = i q is held as its real q.
 
@@ -34,6 +36,7 @@ __all__ = [
     "TwoModeBasis",
     "basis_frequency",
     "bare_quadratures",
+    "lift",
     "normal_mode_quadratures",
     "coupled_hamiltonian",
     "hamiltonian_eigensystem",
@@ -43,8 +46,9 @@ __all__ = [
 
 HERMITICITY_TOL = 1e-12
 
-# Largest accepted cutoff.  dim = (cutoff + 1)^2, so at 40 one dense real
-# operator holds 1681^2 entries (22.6 MB); at 100 it would be 0.8 GB.
+# Largest accepted cutoff.  dim = (cutoff + 1)^2, and H and its eigenvectors
+# are the two dense dim x dim arrays: at 40 each holds 1681^2 entries
+# (22.6 MB); at 100 each would be 0.8 GB.
 MAX_CUTOFF = 40
 
 
@@ -83,7 +87,7 @@ class TwoModeBasis:
     |n1, n2> sits at index n1 * (cutoff + 1) + n2.  A cutoff of at least 3 is
     required: quadratic observables on the single-excitation states reach
     occupation 3.  At most MAX_CUTOFF is accepted, which bounds the size of
-    every dense operator.
+    H and its eigenvectors.
     """
 
     cutoff: int
@@ -116,11 +120,6 @@ class TwoModeBasis:
         n1, n2 = self.occupations()
         return n1 + n2 <= total
 
-    def mask_below_cutoff(self) -> np.ndarray:
-        """Boolean mask of states with every occupation strictly below the cutoff."""
-        n1, n2 = self.occupations()
-        return (n1 < self.cutoff) & (n2 < self.cutoff)
-
 
 def basis_frequency(params: SystemParams) -> float:
     """Frequency det(K)^(1/4) at which each oscillator's number basis is built.
@@ -137,38 +136,39 @@ def basis_frequency(params: SystemParams) -> float:
     return math.sqrt(w * math.hypot(w, big_omega, big_omega))
 
 
-def _mode_quadratures(cutoff: int, omega: float) -> tuple[np.ndarray, np.ndarray]:
-    """Real position matrix x and momentum part q of one oscillator on levels 0..cutoff.
+def bare_quadratures(params: SystemParams, basis: TwoModeBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Single-oscillator position x and momentum part q on levels 0..cutoff.
 
-    With the lowering matrix a (entries sqrt(n) at (n - 1, n)),
-    x = (a^dag + a) / sqrt(2 w) is symmetric and q = sqrt(w / 2) (a^dag - a)
-    antisymmetric, so x and the momentum p = i q are Hermitian (hbar = 1).
-    Truncation makes [a, a^dag] the identity except for its last diagonal entry, -cutoff.
+    With the lowering matrix a (entries sqrt(n) at (n - 1, n)) and w the
+    :func:`basis_frequency`, x = (a^dag + a) / sqrt(2 w) is symmetric and
+    q = sqrt(w / 2) (a^dag - a) antisymmetric, so x and the momentum p = i q
+    are Hermitian (hbar = 1).  The bare operators are x1 = kron(x, 1),
+    x2 = kron(1, x), p1 = i kron(q, 1) and p2 = i kron(1, q).  Truncation
+    makes [a, a^dag] the identity except for its last diagonal entry, -cutoff.
     """
-    a = np.diag(np.sqrt(np.arange(1, cutoff + 1, dtype=float)), k=1)
-    x = (a.T + a) / np.sqrt(2.0 * omega)
-    q = np.sqrt(omega / 2.0) * (a.T - a)
-    return x, q
+    w = basis_frequency(params)
+    a = np.diag(np.sqrt(np.arange(1, basis.levels, dtype=float)), k=1)
+    return (a.T + a) / np.sqrt(2.0 * w), np.sqrt(w / 2.0) * (a.T - a)
 
 
-def bare_quadratures(
-    params: SystemParams, basis: TwoModeBasis
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Bare coordinates and momentum parts (x1, x2, q1, q2) on the product space.
+def lift(m: np.ndarray, v: np.ndarray, oscillator: int) -> np.ndarray:
+    """kron(m, 1) @ v for oscillator 1, kron(1, m) @ v for oscillator 2, without the kron.
 
-    Each factor is represented in its own number basis at
-    :func:`basis_frequency`; each momentum p = i q is returned as its real q.
-    kron copies entries, so each x is exactly symmetric and each q antisymmetric.
+    m is a real L x L factor and v a real or complex block of shape (dim,) or
+    (dim, k), dim = L^2, read as (n1, n2, columns): oscillator 1 multiplies
+    along n1 as one product, oscillator 2 along n2 as L stacked products.  A
+    complex v is multiplied through its float64 view, so every product is real.
     """
-    x, q = _mode_quadratures(basis.cutoff, basis_frequency(params))
-    eye = np.eye(basis.levels)
-    return np.kron(x, eye), np.kron(eye, x), np.kron(q, eye), np.kron(eye, q)
+    levels = m.shape[0]
+    block = np.ascontiguousarray(v).view(np.float64).reshape(levels, levels, -1)
+    out = m @ block.reshape(levels, -1) if oscillator == 1 else np.matmul(m, block)
+    return out.view(v.dtype).reshape(v.shape)
 
 
 def normal_mode_quadratures(
     x1: np.ndarray, x2: np.ndarray, q1: np.ndarray, q2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Collective (X+, X-, Q+, Q-) = (x1 ± x2, q1 ± q2)/sqrt(2) with P± = i Q±, as plain arrays."""
+    """Normal-mode images (X+, X-, Q+, Q-) v = (x1 ± x2, q1 ± q2) v / sqrt(2), P± = i Q±."""
     inv = 1.0 / np.sqrt(2.0)
     return inv * (x1 + x2), inv * (x1 - x2), inv * (q1 + q2), inv * (q1 - q2)
 
@@ -179,18 +179,26 @@ def coupled_hamiltonian(params: SystemParams, basis: TwoModeBasis) -> np.ndarray
     W = g * w is the coupling strength.  Every square is the truncated
     single-mode product lifted onto the product space, x1^2 = kron(x @ x, 1)
     and x1 x2 = kron(x, x), which equals the product of the lifted matrices,
-    and p^2 = (i q)^2 = -q q.  Both factors use the number basis of
-    :func:`bare_quadratures`.  x and q are tridiagonal, so an entry of x @ x or
-    q @ q sums the same products as its mirror, and H is exactly symmetric.
+    and p^2 = (i q)^2 = -q q, with x and q of :func:`bare_quadratures`.  They
+    are tridiagonal, so an entry of x @ x or q @ q sums the same products as
+    its mirror, and H is exactly symmetric.  H is accumulated in place, at most
+    three dim x dim arrays at a time, as ((pp1 + pp2) + w^2 x_sq) + W^2 diff_sq.
     """
-    x, q = _mode_quadratures(basis.cutoff, basis_frequency(params))
+    x, q = bare_quadratures(params, basis)
     xx, pp = x @ x, -(q @ q)
     eye = np.eye(basis.levels)
-    x_sq = np.kron(xx, eye) + np.kron(eye, xx)
-    diff_sq = x_sq - 2.0 * np.kron(x, x)
-    w2 = params.omega**2
-    big_omega2 = (params.coupling_ratio * params.omega) ** 2
-    return 0.5 * (np.kron(pp, eye) + np.kron(eye, pp) + w2 * x_sq + big_omega2 * diff_sq)
+    x_sq = np.kron(xx, eye)
+    x_sq += np.kron(eye, xx)
+    h = np.kron(pp, eye)
+    h += np.kron(eye, pp)
+    diff_sq = np.kron(2.0 * x, x)  # 2 x1 x2, exactly: doubling rounds nothing
+    np.subtract(x_sq, diff_sq, out=diff_sq)
+    x_sq *= params.omega**2
+    h += x_sq
+    diff_sq *= (params.coupling_ratio * params.omega) ** 2
+    h += diff_sq
+    h *= 0.5
+    return h
 
 
 def hamiltonian_eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -204,66 +212,63 @@ def hamiltonian_eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class SolvedSystem:
-    """Every oracle matrix of one ``(params, basis)``, built once by :func:`solve`.
+    """The oracle arrays of one ``(params, basis)``, built once by :func:`solve`.
 
     Every array is real float64 and read-only, so a system can be shared
-    between threads.  ``x1, x2`` are the bare coordinates and ``xp, xm`` the
-    normal-mode X+, X-.  Each momentum is stored as its real antisymmetric
-    part q: p1 = i q1, p2 = i q2, P+ = i qp and P- = i qm.  ``h`` is real
-    symmetric and ``energies, vectors`` its eigensystem (ascending,
-    eigenvectors as columns); ``ground`` is the lowest eigenvector.
-    Construction is the one check of the oracle's arrays: it freezes each one
-    and raises ``ValueError``, naming the field, unless every array is
-    float64, x1, x2, xp, xm and h equal their transpose and q1, q2, qp, qm
-    minus their transpose, exactly; so every x and every i q is Hermitian.
+    between threads.  ``x`` and ``q`` are the L x L factors of
+    :func:`bare_quadratures` (L = cutoff + 1, p = i q), through which
+    :meth:`bare_images` and :meth:`normal_modes` apply every observable.
+    ``h`` is the dense Hamiltonian and ``energies, vectors`` its eigensystem
+    (ascending, eigenvectors as columns); ``ground`` is the lowest
+    eigenvector.  Construction is the one check of the oracle's arrays: it
+    freezes each one and raises ``ValueError``, naming the field, unless every
+    array is float64, x and q are L x L, x and h equal their transpose and q
+    minus its transpose, exactly; so every lifted x and i q is Hermitian.
     """
 
     params: SystemParams
     basis: TwoModeBasis
-    x1: np.ndarray
-    x2: np.ndarray
-    q1: np.ndarray
-    q2: np.ndarray
-    xp: np.ndarray
-    xm: np.ndarray
-    qp: np.ndarray
-    qm: np.ndarray
+    x: np.ndarray
+    q: np.ndarray
     h: np.ndarray
     energies: np.ndarray
     vectors: np.ndarray
     ground: np.ndarray
 
     def __post_init__(self) -> None:
+        levels = self.basis.levels
         for field in fields(self)[2:]:  # every field after params and basis is an array
             name, m = field.name, getattr(self, field.name)
             if getattr(m, "dtype", None) != np.float64:
                 raise ValueError(f"{name} must be a real float64 array")
             m.setflags(write=False)
-            if name in ("x1", "x2", "xp", "xm", "h") and not np.array_equal(m.T, m):
+            if name in ("x", "q") and m.shape != (levels, levels):
+                raise ValueError(f"{name} must have shape ({levels}, {levels}), got {m.shape}")
+            if name in ("x", "h") and not np.array_equal(m.T, m):
                 raise ValueError(f"{name} must be symmetric")
-            if name in ("q1", "q2", "qp", "qm") and not np.array_equal(m.T, -m):
+            if name == "q" and not np.array_equal(m.T, -m):
                 raise ValueError(f"{name} must be antisymmetric")
 
-    def normal_modes(self) -> tuple[tuple[np.ndarray, np.ndarray, float], ...]:
-        """(X, Q, frequency) of the slow + mode, then of the fast - mode; P = i Q.
+    def bare_images(self, v: np.ndarray):
+        """Generator of x1 v, x2 v, q1 v and q2 v (see :func:`lift`), each made when asked for."""
+        return (lift(m, v, oscillator) for m in (self.x, self.q) for oscillator in (1, 2))
+
+    def normal_modes(self, v: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray, float], ...]:
+        """(X v, Q v, frequency) of the slow + mode, then of the fast - mode; P = i Q.
 
         The frequencies omega and eta * omega come from ``model.mode_frequency``.
         """
-        return (
-            (self.xp, self.qp, mode_frequency(self.params, ModeIndex.PLUS)),
-            (self.xm, self.qm, mode_frequency(self.params, ModeIndex.MINUS)),
-        )
+        xp, xm, qp, qm = normal_mode_quadratures(*self.bare_images(v))
+        wp, wm = (mode_frequency(self.params, mode) for mode in (ModeIndex.PLUS, ModeIndex.MINUS))
+        return (xp, qp, wp), (xm, qm, wm)
 
 
 def solve(params: SystemParams, basis: TwoModeBasis) -> SolvedSystem:
-    """Build the quadratures and H of ``(params, basis)`` and diagonalize H, once."""
-    x1, x2, q1, q2 = bare_quadratures(params, basis)
-    xp, xm, qp, qm = normal_mode_quadratures(x1, x2, q1, q2)
+    """Build the quadrature factors and H of ``(params, basis)`` and diagonalize H, once."""
+    x, q = bare_quadratures(params, basis)
     h = coupled_hamiltonian(params, basis)
     energies, vectors = hamiltonian_eigensystem(h)
-    return SolvedSystem(
-        params, basis, x1, x2, q1, q2, xp, xm, qp, qm, h, energies, vectors, vectors[:, 0]
-    )
+    return SolvedSystem(params, basis, x, q, h, energies, vectors, vectors[:, 0])
 
 
 def bell_vector(system: SolvedSystem, state: BellState) -> np.ndarray:
@@ -271,15 +276,14 @@ def bell_vector(system: SolvedSystem, state: BellState) -> np.ndarray:
 
     |g> is the numerically exact ground state.  Each raising operator
     A^dag = sqrt(w/2) (X - i P / w) = sqrt(w/2) (X + Q / w), at its mode's
-    frequency w, is applied as two real operator-times-vector products, so
-    the vector is real float64.  The raw vector must come out
+    frequency w, is applied through the images X|g> and Q|g>, which are real,
+    so the vector is real float64.  The raw vector must come out
     normalized up to truncation noise; a deviation beyond 1e-3 signals a
     basis too small for the requested coupling (the tests pin the much
     tighter norms reached at the supported cutoffs).
     """
-    gs = system.ground
     ap_g, am_g = (
-        np.sqrt(w / 2.0) * (x @ gs + (q @ gs) / w) for x, q, w in system.normal_modes()
+        np.sqrt(w / 2.0) * (xg + qg / w) for xg, qg, w in system.normal_modes(system.ground)
     )
     sign = 1.0 if state is BellState.PSI_PLUS else -1.0
     raw = (am_g + sign * ap_g) / np.sqrt(2.0)

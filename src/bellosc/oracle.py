@@ -96,8 +96,8 @@ def table1_check(system: SolvedSystem, tol: float) -> list[OracleReport]:
     reports: list[OracleReport] = []
     for state in (BellState.PSI_PLUS, BellState.PSI_MINUS):
         psi = fock.bell_vector(system, state)
-        image = {"": psi, "X+": system.xp @ psi, "X-": system.xm @ psi}  # ("", A) gives <A>
-        image["P+"], image["P-"] = 1j * (system.qp @ psi), 1j * (system.qm @ psi)  # P = i Q
+        (xp, qp, _), (xm, qm, _) = system.normal_modes(psi)
+        image = {"": psi, "X+": xp, "X-": xm, "P+": 1j * qp, "P-": 1j * qm}  # ("", A) gives <A>
         sign = 1.0 if state is BellState.PSI_PLUS else -1.0
         x_cross = sign / (2.0 * math.sqrt(e) * w)
         p_cross = sign * math.sqrt(e) * w / 2.0
@@ -131,8 +131,8 @@ def cross_momentum_scaling_probe(
     doubled = fock.solve(replace(params, omega=2.0 * params.omega), basis)
     e = eta(doubled.params)
     w = doubled.params.omega
-    psi = fock.bell_vector(doubled, BellState.PSI_PLUS)
-    value = np.vdot(doubled.qp @ psi, doubled.qm @ psi)  # the i of P+ = i Q+ and P- = i Q- cancel
+    (_, qp, _), (_, qm, _) = doubled.normal_modes(fock.bell_vector(doubled, BellState.PSI_PLUS))
+    value = np.vdot(qp, qm)  # the i of P+ = i Q+ and P- = i Q- cancel
     accepted = OracleReport.compare(
         f"<P+P-> momentum-type form sqrt(eta)*w/2 at w={w:g}",
         math.sqrt(e) * w / 2.0,
@@ -158,29 +158,25 @@ def commutator_check(system: SolvedSystem) -> list[OracleReport]:
     tolerance is fixed at 1e-12.  The system holds each momentum b = i q as
     its real antisymmetric q (see :class:`~bellosc.fock.SolvedSystem`) and
     each coordinate a is symmetric, so [a, b] = i (a q + (a q)^T).  The
-    deviation is max |a q + (a q)^T - delta 1| on the checked block, whose
-    a q is one real product of the rows a[mask] with the columns q[:, mask].
+    deviation is max |a q + (a q)^T - delta 1| on the checked block, where a q
+    sums the factor products x1 q1 = kron(x q, 1), x1 q2 = kron(x, q),
+    x2 q1 = kron(q, x) and x2 q2 = kron(1, x q), each cut below the cutoff.
     """
-    s = system
-    mask = s.basis.mask_below_cutoff()
-    eye = np.eye(np.count_nonzero(mask))
-    cases = [
-        ("[x1,p1]", s.x1, s.q1, 1.0),
-        ("[x2,p2]", s.x2, s.q2, 1.0),
-        ("[x1,p2]", s.x1, s.q2, 0.0),
-        ("[x2,p1]", s.x2, s.q1, 0.0),
-        ("[X+,P+]", s.xp, s.qp, 1.0),
-        ("[X-,P-]", s.xm, s.qm, 1.0),
-        ("[X+,P-]", s.xp, s.qm, 0.0),
-        ("[X-,P+]", s.xm, s.qp, 0.0),
-    ]
+    c = system.basis.cutoff
+    x, q = system.x, system.q
+    xq, xc, qc, eye = (x @ q)[:c, :c], x[:c, :c], q[:c, :c], np.eye(c)
+    products = {(0, 0): (xq, eye), (0, 1): (xc, qc), (1, 0): (qc, xc), (1, 1): (eye, xq)}
+    inv = 1.0 / np.sqrt(2.0)
+    # weights of oscillators 1 and 2 in each mode, shared by its coordinate and momentum
+    weights = {"1": (1.0, 0.0), "2": (0.0, 1.0), "+": (inv, inv), "-": (inv, -inv)}
     reports = []
-    for name, a, q, delta in cases:
-        aq = a[mask] @ q[:, mask]
-        dev = float(np.max(np.abs(aq + aq.T - delta * eye)))
-        reports.append(
-            OracleReport.compare(f"commutator {name} - i*{delta:g}", 0.0, dev, 1e-12)
-        )
+    for pair in ("x1,p1", "x2,p2", "x1,p2", "x2,p1", "X+,P+", "X-,P-", "X+,P-", "X-,P+"):
+        (a, b), delta = (weights[pair[1]], weights[pair[4]]), float(pair[1] == pair[4])
+        aq = sum(np.kron(a[i] * b[j] * f, g) for (i, j), (f, g) in products.items() if a[i] * b[j])
+        sym = aq + aq.T
+        sym.flat[:: c * c + 1] -= delta
+        dev = float(np.max(np.abs(sym)))
+        reports.append(OracleReport.compare(f"commutator [{pair}] - i*{delta:g}", 0.0, dev, 1e-12))
     return reports
 
 
@@ -215,15 +211,16 @@ def heisenberg_evolution_check(
     Returns (accepted, rejected) reports; the rejected one is expected to fail.
     """
     mask = system.basis.mask_total_at_most(2)
+    # the unit columns |n> of the masked n; the laws' blocks <m|Y|n> are rows of their images
+    units = np.equal.outer(np.arange(system.basis.dim), np.flatnonzero(mask)).astype(float)
     u_cols = _evolve(system, system.vectors[mask].T, (t,))  # U(t)|n> for the masked n
     u_dag = u_cols.conj().T
-    sub = np.ix_(mask, mask)
     x_dev, dev = 0.0, {"canonical": 0.0, "non-canonical": 0.0}
-    for x, q, w in system.normal_modes():
+    for (xu, qu, w), (xn, qn, _) in zip(system.normal_modes(u_cols), system.normal_modes(units)):
         c, s = math.cos(w * t), math.sin(w * t)
-        heis_x = u_dag @ _real_times(x, u_cols)
-        heis_p = 1j * (u_dag @ _real_times(q, u_cols))
-        xs, ps = x[sub], 1j * q[sub]  # the laws act entrywise, so they are formed on the block only
+        heis_x = u_dag @ xu
+        heis_p = 1j * (u_dag @ qu)
+        xs, ps = xn[mask], 1j * qn[mask]  # the laws act entrywise, so only on the block
         x_dev = max(x_dev, float(np.max(np.abs(heis_x - (xs * c + ps * (s / w))))))
         for form, sine_op in (("canonical", xs), ("non-canonical", ps)):
             dev[form] = max(dev[form], float(np.max(np.abs(heis_p - (ps * c - w * sine_op * s)))))
@@ -246,9 +243,9 @@ def evolve_expectations(
     |psi(t)> = exp(-i H t) |psi>, computed through the eigendecomposition of
     H, EVOLVE_TIME_BLOCK times at a time so that memory is O(dim x block).
     First moments are <psi(t)|A|psi(t)> and second moments ||A psi(t)||^2.
-    Every operator acts as a real matrix on the float view of the complex
-    states: the system holds each momentum p = i q as its real q, with
-    ||p psi|| = ||q psi|| and <p> = -Im <psi|q|psi>.
+    Every operator acts through its real single-oscillator factor on the
+    float view of the complex states: the system holds each momentum p = i q
+    as its real q, with ||p psi|| = ||q psi|| and <p> = -Im <psi|q|psi>.
     The returned columns are the standard deviations
     of the bare coordinates and momenta on the evolved state, divided by the
     single-oscillator ground-state values; none of the closed-form amplitude
@@ -266,19 +263,18 @@ def evolve_expectations(
     psi0 = fock.bell_vector(system, state)
     coeffs = system.vectors.T @ psi0  # the eigenvectors are real
     w = system.params.omega
-    # (real operator, part of <psi|op|psi> that is <A>, normalization); A = op or i op
+    # for x1, x2, q1, q2: (part of <psi|op|psi> that is <A>, normalization); A = op or i op
     observables = (
-        (system.x1, np.real, 2.0 * w),
-        (system.x2, np.real, 2.0 * w),
-        (system.q1, lambda z: -z.imag, 2.0 / w),
-        (system.q2, lambda z: -z.imag, 2.0 / w),
+        (np.real, 2.0 * w),
+        (np.real, 2.0 * w),
+        (lambda z: -z.imag, 2.0 / w),
+        (lambda z: -z.imag, 2.0 / w),
     )
     dx1, dx2, dp1, dp2 = stds = [np.empty(times.size) for _ in observables]
     for start in range(0, times.size, EVOLVE_TIME_BLOCK):
         block = slice(start, start + EVOLVE_TIME_BLOCK)
         evolved = _evolve(system, coeffs[:, None], times[block])  # (dim, block size)
-        for out, (op, mean_part, norm_sq) in zip(stds, observables):
-            image = _real_times(op, evolved)
+        for out, image, (mean_part, norm_sq) in zip(stds, system.bare_images(evolved), observables):
             first = mean_part(np.einsum("it,it->t", evolved.conj(), image))
             second = np.einsum("it,it->t", image.conj(), image).real
             out[block] = np.sqrt(np.maximum(second - first**2, 0.0) * norm_sq)

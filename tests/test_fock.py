@@ -2,9 +2,11 @@
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from dense_reference import NAMES, dense_bare, dense_operators
 
 from bellosc.fock import (
     ConvergenceError,
@@ -15,19 +17,17 @@ from bellosc.fock import (
     bell_vector,
     solve,
 )
-from bellosc.model import BellState, SystemParams, eta
+from bellosc.model import BellState, ModeIndex, SystemParams, eta, mode_frequency
 
-ARRAY_FIELDS = (
-    "x1", "x2", "q1", "q2", "xp", "xm", "qp", "qm", "h", "energies", "vectors", "ground",
-)
-SYMMETRIC_FIELDS = ("x1", "x2", "xp", "xm", "h")
-ANTISYMMETRIC_FIELDS = ("q1", "q2", "qp", "qm")
+ARRAY_FIELDS = ("x", "q", "h", "energies", "vectors", "ground")
+SYMMETRIC_FIELDS = ("x", "h")
+ANTISYMMETRIC_FIELDS = ("q",)
 
 
 def bare_ladders(params, basis):
     """(a1, a1^dag, a2, a2^dag) from the lifted bare quadratures at w = omega:
     a = sqrt(w/2) (x + i p / w), a^dag = sqrt(w/2) (x - i p / w)."""
-    x1, x2, q1, q2 = bare_quadratures(params, basis)
+    x1, x2, q1, q2 = dense_bare(*bare_quadratures(params, basis))
     w = params.omega
     out = []
     for x, p in ((x1, 1j * q1), (x2, 1j * q2)):
@@ -35,10 +35,15 @@ def bare_ladders(params, basis):
     return out
 
 
+def mode_frequencies(system):
+    return tuple(mode_frequency(system.params, mode) for mode in (ModeIndex.PLUS, ModeIndex.MINUS))
+
+
 def normal_mode_ladders(system):
     """(A+, A+^dag, A-, A-^dag) with A = sqrt(w/2) (X + i P / w) at each mode's frequency."""
+    ops, (wp, wm) = dense_operators(system), mode_frequencies(system)
     out = []
-    for x, q, w in system.normal_modes():
+    for x, q, w in ((ops["xp"], ops["qp"], wp), (ops["xm"], ops["qm"], wm)):
         p = 1j * q
         a = np.sqrt(w / 2.0) * (x + 1j * p / w)
         out += [a, a.conj().T]
@@ -52,7 +57,7 @@ def shifted_form_hamiltonian(system):
     position-position term, assembled from dense products of the lifted
     quadratures.
     """
-    s, params = system, system.params
+    s, params = SimpleNamespace(**dense_operators(system)), system.params
     big_omega2 = (params.coupling_ratio * params.omega) ** 2
     wprime2 = params.omega**2 + big_omega2
     p1, p2 = 1j * s.q1, 1j * s.q2
@@ -118,7 +123,7 @@ class TestBareQuadratures:
     @pytest.mark.parametrize("w", [0.5, 1.0, 3.0])
     def test_ground_and_excited_variances(self, w):
         basis = TwoModeBasis(6)
-        x1, _, _, _ = bare_quadratures(SystemParams(w, 0.0), basis)
+        x1, _, _, _ = dense_bare(*bare_quadratures(SystemParams(w, 0.0), basis))
         x1_sq = x1 @ x1
         ground, excited = basis.index(0, 0), basis.index(1, 0)
         assert x1_sq[ground, ground] == pytest.approx(1.0 / (2 * w), abs=1e-14)
@@ -126,7 +131,7 @@ class TestBareQuadratures:
 
     def test_canonical_commutator_below_cutoff(self):
         basis = TwoModeBasis(6)
-        x1, _, q1, _ = bare_quadratures(SystemParams(1.3, 0.0), basis)
+        x1, _, q1, _ = dense_bare(*bare_quadratures(SystemParams(1.3, 0.0), basis))
         p1 = 1j * q1
         comm = x1 @ p1 - p1 @ x1
         below = basis.occupations()[0] < basis.cutoff
@@ -163,7 +168,7 @@ class TestBasisFrequency:
 
     def test_bare_quadratures_are_built_at_it(self):
         params, basis = SystemParams(1.0, 1.5), TwoModeBasis(4)
-        x1, _, _, _ = bare_quadratures(params, basis)
+        x1, _, _, _ = dense_bare(*bare_quadratures(params, basis))
         ground = basis.index(0, 0)
         expected = 1.0 / (2.0 * basis_frequency(params))
         assert (x1 @ x1)[ground, ground] == pytest.approx(expected, rel=1e-14)
@@ -186,10 +191,8 @@ class TestTwoModeBasis:
 
     def test_masks(self):
         basis = TwoModeBasis(3)
-        n1, n2 = basis.occupations()
         low = basis.mask_total_at_most(1)
         assert sorted(np.flatnonzero(low)) == [basis.index(0, 0), basis.index(0, 1), basis.index(1, 0)]
-        assert np.all((n1[basis.mask_below_cutoff()] <= 2) & (n2[basis.mask_below_cutoff()] <= 2))
 
 
 def _nudge_off_diagonal(h):
@@ -224,21 +227,28 @@ class TestSolvedSystem:
             array = getattr(system, name)
             assert array.dtype == np.float64, name
             assert not array.flags.writeable, name
-        for name in ("q1", "q2", "qp", "qm"):
-            momentum = getattr(system, name)
-            assert np.array_equal(momentum.T, -momentum), name
+        assert np.array_equal(system.q.T, -system.q)
         for state in BellState:
             assert bell_vector(system, state).dtype == np.float64, state
 
     @pytest.mark.parametrize(
         "field, tamper",
         [
-            ("q1", lambda s: s.q1 + 1e-3 * s.h),  # no longer antisymmetric, so i q1 is not Hermitian
-            ("qm", lambda s: s.qm + 0j),  # complex momentum part
-            ("x2", lambda s: s.x2 + 0j),  # complex coordinate
+            # no longer antisymmetric, so i q1 is not Hermitian
+            pytest.param("q", lambda s: s.q + 1e-3 * s.x, id="q-not-antisymmetric"),
+            pytest.param("q", lambda s: s.q + 0j, id="q-complex"),
+            pytest.param("x", lambda s: s.x + 0j, id="x-complex"),
             ("vectors", lambda s: s.vectors.astype(np.float32)),
-            ("x1", lambda s: s.x1 + 1e-3 * s.q1),  # no longer symmetric
-            ("h", lambda s: _nudge_off_diagonal(s.h)),  # one entry one ulp off its mirror
+            pytest.param("x", lambda s: s.x.astype(np.float32), id="x-float32"),
+            pytest.param("q", lambda s: s.q.astype(np.float32), id="q-float32"),
+            pytest.param("x", lambda s: s.x + 1e-3 * s.q, id="x-not-symmetric"),
+            # one entry one ulp off its mirror
+            pytest.param("x", lambda s: _nudge_off_diagonal(s.x), id="x-one-ulp"),
+            ("h", lambda s: _nudge_off_diagonal(s.h)),
+            # symmetric or antisymmetric, but not L x L for the basis
+            pytest.param("x", lambda s: np.pad(s.x, (0, 1)), id="x-one-level-too-many"),
+            pytest.param("q", lambda s: s.q[:-1, :-1], id="q-one-level-too-few"),
+            pytest.param("x", lambda s: s.x.ravel(), id="x-flattened"),
         ],
     )
     def test_rejects_a_system_without_the_structure(self, field, tamper):
@@ -265,14 +275,63 @@ class TestSolvedSystem:
     def test_normal_modes_pair_quadratures_with_model_frequencies(self):
         params = SystemParams(2.0, 0.8)
         system = solve(params, TwoModeBasis(4))
-        (xp, qp, wp), (xm, qm, wm) = system.normal_modes()
-        assert xp is system.xp and qp is system.qp and xm is system.xm and qm is system.qm
+        ops, v = dense_operators(system), system.ground
+        (xp, qp, wp), (xm, qm, wm) = system.normal_modes(v)
+        for image, name in ((xp, "xp"), (qp, "qp"), (xm, "xm"), (qm, "qm")):
+            assert np.max(np.abs(image - ops[name] @ v)) < 1e-14, name
         assert (wp, wm) == (2.0, 2.0 * eta(params))
 
     def test_ground_state_is_lowest_eigenvector(self):
         system = solve(SystemParams(1.0, 0.8), TwoModeBasis(8))
         h, gs = system.h, system.ground
         assert np.max(np.abs(h @ gs - system.energies[0] * gs)) < 1e-12
+
+
+FACTOR_SETTINGS = [
+    (omega, g, cutoff)
+    for cutoff in (3, 6, 12, 20)
+    for omega in (1e-150, 0.3, 1.0, 7.0, 1e150)
+    for g in (0.0, 0.5, 1.5)
+]
+
+
+def _root(array):
+    """The array that owns the memory behind ``array``."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
+class TestFactorForm:
+    @pytest.mark.parametrize("omega, g, cutoff", FACTOR_SETTINGS)
+    def test_every_operator_matches_its_dense_kron(self, omega, g, cutoff):
+        # each image through the factors equals the dense np.kron operator times the block
+        system = solve(SystemParams(omega, g), TwoModeBasis(cutoff))
+        ops = dense_operators(system)
+        rng = np.random.default_rng(cutoff)
+        dim = system.basis.dim
+        blocks = {
+            "vector": rng.standard_normal(dim),
+            "real": rng.standard_normal((dim, 3)),
+            "complex": rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3)),
+            "complex vector": rng.standard_normal(dim) + 1j * rng.standard_normal(dim),
+        }
+        for kind, v in blocks.items():
+            (xp, qp, _), (xm, qm, _) = system.normal_modes(v)
+            images = dict(zip(NAMES, (*system.bare_images(v), xp, xm, qp, qm)))
+            for name in NAMES:
+                dense = ops[name] @ v
+                assert images[name].dtype == v.dtype and images[name].shape == v.shape
+                scale = np.max(np.abs(dense))
+                assert np.max(np.abs(images[name] - dense)) <= 1e-14 * scale, (kind, name)
+
+    def test_holds_no_dense_operator_but_h_and_vectors(self):
+        # x and q are L x L; ground is a column of vectors, so it costs nothing of its own
+        system = solve(SystemParams(1.0, 0.5), TwoModeBasis(24))
+        dim, levels = system.basis.dim, system.basis.levels
+        owners = {id(root): root for root in (_root(getattr(system, n)) for n in ARRAY_FIELDS)}
+        held = sum(array.nbytes for array in owners.values())
+        assert held <= (2 * dim**2 + dim + 2 * levels**2) * 8
 
 
 class TestCoupledHamiltonian:
@@ -380,14 +439,15 @@ class TestBellVector:
 
 
 def test_bare_quadratures_commute_across_oscillators():
-    s = solve(SystemParams(1.0, 0.7), TwoModeBasis(5))
+    s = SimpleNamespace(**dense_operators(solve(SystemParams(1.0, 0.7), TwoModeBasis(5))))
     p2 = 1j * s.q2
     assert np.max(np.abs(s.x1 @ p2 - p2 @ s.x1)) == 0.0
     assert np.max(np.abs(s.x1 @ s.x2 - s.x2 @ s.x1)) == 0.0
 
 
 def test_normal_mode_quadratures_are_hermitian():
-    s = solve(SystemParams(1.0, 0.7), TwoModeBasis(4))
-    for stored, op in ((s.xp, s.xp), (s.xm, s.xm), (s.qp, 1j * s.qp), (s.qm, 1j * s.qm)):
-        assert not stored.flags.writeable
+    system = solve(SystemParams(1.0, 0.7), TwoModeBasis(4))
+    s = SimpleNamespace(**dense_operators(system))
+    assert not system.x.flags.writeable and not system.q.flags.writeable
+    for op in (s.xp, s.xm, 1j * s.qp, 1j * s.qm):
         assert np.max(np.abs(op - op.conj().T)) < 1e-12

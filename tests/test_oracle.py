@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from dense_reference import dense_operators
 
 from bellosc import analytic, fock, oracle
 from bellosc.fock import TwoModeBasis, solve
@@ -123,11 +124,14 @@ class TestCommutators:
         # cut to the same block, must give the same deviations
         basis = TwoModeBasis(cutoff)
         s = solve(SystemParams(omega, 0.8), basis)
+        ops = dense_operators(s)
         operators = {
-            "x1": s.x1, "x2": s.x2, "p1": 1j * s.q1, "p2": 1j * s.q2,
-            "X+": s.xp, "X-": s.xm, "P+": 1j * s.qp, "P-": 1j * s.qm,
+            "x1": ops["x1"], "x2": ops["x2"], "p1": 1j * ops["q1"], "p2": 1j * ops["q2"],
+            "X+": ops["xp"], "X-": ops["xm"], "P+": 1j * ops["qp"], "P-": 1j * ops["qm"],
         }
-        block = np.ix_(basis.mask_below_cutoff(), basis.mask_below_cutoff())
+        n1, n2 = basis.occupations()
+        below = (n1 < cutoff) & (n2 < cutoff)
+        block = np.ix_(below, below)
         reports = commutator_check(s)
         assert len(reports) == 8
         for report in reports:
@@ -137,13 +141,15 @@ class TestCommutators:
             assert abs(report.abs_diff - np.max(np.abs(dense))) <= 1e-14, report.label
 
     def test_scaled_momentum_fails(self):
-        # q1 (1 + 1e-9) is still antisymmetric, but [x1, p1] = i (1 + 1e-9)
+        # q (1 + 1e-9) is still antisymmetric, but [x1, p1] = [x2, p2] = i (1 + 1e-9)
         system = solve(SystemParams(1.0, 0.5), TwoModeBasis(8))
-        scaled = dataclasses.replace(system, q1=system.q1 * (1.0 + 1e-9))
+        scaled = dataclasses.replace(system, q=system.q * (1.0 + 1e-9))
         reports = {r.label.split()[1]: r for r in commutator_check(scaled)}
-        assert not reports["[x1,p1]"].passed
-        assert reports["[x1,p1]"].abs_diff == pytest.approx(1e-9, rel=1e-3)
-        assert reports["[x2,p1]"].passed and reports["[x2,p2]"].passed
+        for name in ("[x1,p1]", "[x2,p2]", "[X+,P+]", "[X-,P-]"):
+            assert not reports[name].passed, name
+            assert reports[name].abs_diff == pytest.approx(1e-9, rel=1e-3), name
+        for name in ("[x1,p2]", "[x2,p1]", "[X+,P-]", "[X-,P+]"):
+            assert reports[name].passed, name
 
     def test_cross_oscillator_commutator_is_exactly_zero(self):
         reports = commutator_check(solve(SystemParams(1.0), TwoModeBasis(8)))
@@ -178,9 +184,14 @@ class TestHeisenbergEvolution:
         reports = heisenberg_evolution_check(system, t, 1e-8)
         u = (system.vectors * np.exp(-1j * system.energies * t)) @ system.vectors.T
         idx = np.ix_(basis.mask_total_at_most(2), basis.mask_total_at_most(2))
+        ops = dense_operators(system)
+        modes = (
+            (ops["xp"], ops["qp"], mode_frequency(system.params, ModeIndex.PLUS)),
+            (ops["xm"], ops["qm"], mode_frequency(system.params, ModeIndex.MINUS)),
+        )
         for report, canonical in zip(reports, (True, False)):
             dev = 0.0
-            for x, q, w in system.normal_modes():
+            for x, q, w in modes:
                 p = 1j * q
                 c, s = math.cos(w * t), math.sin(w * t)
                 sine_op = x if canonical else p
@@ -255,11 +266,12 @@ class TestEvolveExpectations:
         psi = system.vectors.astype(complex) @ (phases * coeffs[:, None])
         evolved = evolve_expectations(system, state, times)
         w = params.omega
+        ops = dense_operators(system)
         for col, op, norm_sq in (
-            ("dx1", system.x1, 2.0 * w),
-            ("dx2", system.x2, 2.0 * w),
-            ("dp1", 1j * system.q1, 2.0 / w),
-            ("dp2", 1j * system.q2, 2.0 / w),
+            ("dx1", ops["x1"], 2.0 * w),
+            ("dx2", ops["x2"], 2.0 * w),
+            ("dp1", 1j * ops["q1"], 2.0 / w),
+            ("dp2", 1j * ops["q2"], 2.0 / w),
         ):
             image = op.astype(complex) @ psi
             first = np.einsum("it,it->t", psi.conj(), image).real
@@ -338,7 +350,8 @@ class TestConsistencyLock:
     def test_momentum_cross_correlation_is_forced_by_coordinate_one(self, g):
         params = SystemParams(1.0, g)
         system = solve(params, TwoModeBasis(12))
-        xp, xm, pp, pm = system.xp, system.xm, 1j * system.qp, 1j * system.qm
+        ops = dense_operators(system)
+        xp, xm, pp, pm = ops["xp"], ops["xm"], 1j * ops["qp"], 1j * ops["qm"]
         psi = fock.bell_vector(system, PSI_P)
         x_cross = np.vdot(psi, (xp @ xm) @ psi)
         p_cross = np.vdot(psi, (pp @ pm) @ psi)
@@ -353,7 +366,8 @@ class TestConsistencyLock:
         # variance assembled from oracle second moments must equal the closed form.
         params = SystemParams(1.0, g)
         system = solve(params, TwoModeBasis(12))
-        xp, xm, pp, pm = system.xp, system.xm, 1j * system.qp, 1j * system.qm
+        ops = dense_operators(system)
+        xp, xm, pp, pm = ops["xp"], ops["xm"], 1j * ops["qp"], 1j * ops["qm"]
         psi = fock.bell_vector(system, state)
         second = np.array(
             [[np.vdot(psi, (a @ b) @ psi) for b in (xp, xm, pp, pm)] for a in (xp, xm, pp, pm)]
