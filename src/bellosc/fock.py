@@ -10,7 +10,8 @@ which the Bell-state ladder operators are built.
 
 Every observable except H is kron(m, 1) or kron(1, m) of a single-oscillator
 matrix m, and :func:`lift` applies it through m alone; only H is held as a
-dense product-space matrix, for its eigensolve.  :func:`solve` builds the
+dense product-space matrix, and each term of H changes n1 + n2 by 0 or 2, so
+H is diagonalized per parity block of n1 + n2.  :func:`solve` builds the
 factors, H and its eigensystem once per ``(params, basis)`` as plain arrays
 and returns a :class:`SolvedSystem`, the one place that checks and freezes
 them; every oracle check reads it.  Each momentum p = i q is held as its real q.
@@ -115,6 +116,10 @@ class TwoModeBasis:
         n1, n2 = np.divmod(np.arange(self.dim), self.levels)
         return n1, n2
 
+    def parity_sectors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Indices of the basis states with n1 + n2 even, then with n1 + n2 odd."""
+        return tuple(np.flatnonzero(np.add(*self.occupations()) % 2 == p) for p in (0, 1))
+
     def mask_total_at_most(self, total: int) -> np.ndarray:
         """Boolean mask of basis states with n1 + n2 <= total."""
         n1, n2 = self.occupations()
@@ -202,7 +207,7 @@ def coupled_hamiltonian(params: SystemParams, basis: TwoModeBasis) -> np.ndarray
 
 
 def hamiltonian_eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a real-symmetric H (eigenvalues ascending, eigenvectors as columns)."""
+    """Eigensystem of a real-symmetric H or parity block of it (ascending, vectors as columns)."""
     try:
         energies, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -223,7 +228,8 @@ class SolvedSystem:
     eigenvector.  Construction is the one check of the oracle's arrays: it
     freezes each one and raises ``ValueError``, naming the field, unless every
     array is float64, x and q are L x L, x and h equal their transpose and q
-    minus its transpose, exactly; so every lifted x and i q is Hermitian.
+    minus its transpose, and h is zero between the two parity sectors,
+    exactly; so every lifted x and i q is Hermitian and H is block-diagonal.
     """
 
     params: SystemParams
@@ -246,6 +252,8 @@ class SolvedSystem:
                 raise ValueError(f"{name} must have shape ({levels}, {levels}), got {m.shape}")
             if name in ("x", "h") and not np.array_equal(m.T, m):
                 raise ValueError(f"{name} must be symmetric")
+            if name == "h" and np.any(m[np.ix_(*self.basis.parity_sectors())]):
+                raise ValueError(f"{name} must not couple the parity sectors of n1 + n2")
             if name == "q" and not np.array_equal(m.T, -m):
                 raise ValueError(f"{name} must be antisymmetric")
 
@@ -264,11 +272,18 @@ class SolvedSystem:
 
 
 def solve(params: SystemParams, basis: TwoModeBasis) -> SolvedSystem:
-    """Build the quadrature factors and H of ``(params, basis)`` and diagonalize H, once."""
+    """Build the factors and H of ``(params, basis)``; diagonalize H once, per parity sector,
+    into the ascending-energy columns of ``vectors``, each exactly zero off its sector's rows."""
     x, q = bare_quadratures(params, basis)
     h = coupled_hamiltonian(params, basis)
-    energies, vectors = hamiltonian_eigensystem(h)
-    return SolvedSystem(params, basis, x, q, h, energies, vectors, vectors[:, 0])
+    sectors = basis.parity_sectors()
+    vectors = np.zeros((basis.dim, basis.dim))  # made after the eigensolves, it raised peak RSS
+    parts = [hamiltonian_eigensystem(h[np.ix_(rows, rows)]) for rows in sectors]
+    energies = np.concatenate([e for e, _ in parts])
+    columns = np.argsort(np.argsort(energies, kind="stable"))  # ascending-energy column of each
+    for rows, cols, (_, v) in zip(sectors, np.split(columns, [sectors[0].size]), parts):
+        vectors[np.ix_(rows, cols)] = v
+    return SolvedSystem(params, basis, x, q, h, np.sort(energies), vectors, vectors[:, 0])
 
 
 def bell_vector(system: SolvedSystem, state: BellState) -> np.ndarray:

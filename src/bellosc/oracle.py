@@ -34,7 +34,7 @@ __all__ = [
     "cross_momentum_scaling_probe",
 ]
 
-EVOLVE_TIME_BLOCK = 2048  # grid points evolved together by evolve_expectations
+EVOLVE_TIME_BLOCK = 32  # grid points evolved together: few, so evolution temporaries stay small
 
 
 @dataclass(frozen=True)
@@ -185,14 +185,14 @@ def _real_times(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (a @ np.ascontiguousarray(z).view(np.float64)).view(np.complex128)
 
 
-def _evolve(system: SolvedSystem, coeffs: np.ndarray, times) -> np.ndarray:
-    """exp(-i H t) applied to states given by their eigenbasis coefficients (rows)."""
-    arg = np.multiply.outer(system.energies, times)
+def _evolve(energies: np.ndarray, vectors: np.ndarray, coeffs: np.ndarray, times) -> np.ndarray:
+    """exp(-i H t) applied to states given by their coefficients (rows) on eigenvectors of H."""
+    arg = np.multiply.outer(energies, times)
     phases = np.empty(arg.shape, dtype=np.complex128)  # cos(E t) - i sin(E t), no complex exp
     np.cos(arg, out=phases.real)
     np.sin(arg, out=phases.imag)
     np.negative(phases.imag, out=phases.imag)
-    return _real_times(system.vectors, phases * coeffs)
+    return _real_times(vectors, phases * coeffs)
 
 
 def heisenberg_evolution_check(
@@ -213,7 +213,7 @@ def heisenberg_evolution_check(
     mask = system.basis.mask_total_at_most(2)
     # the unit columns |n> of the masked n; the laws' blocks <m|Y|n> are rows of their images
     units = np.equal.outer(np.arange(system.basis.dim), np.flatnonzero(mask)).astype(float)
-    u_cols = _evolve(system, system.vectors[mask].T, (t,))  # U(t)|n> for the masked n
+    u_cols = _evolve(system.energies, system.vectors, system.vectors[mask].T, (t,))  # U(t)|n>
     u_dag = u_cols.conj().T
     x_dev, dev = 0.0, {"canonical": 0.0, "non-canonical": 0.0}
     for (xu, qu, w), (xn, qn, _) in zip(system.normal_modes(u_cols), system.normal_modes(units)):
@@ -240,14 +240,15 @@ def evolve_expectations(
 ) -> FluctuationTrace:
     """Schrodinger-evolve the entangled state and collect normalized std devs.
 
-    |psi(t)> = exp(-i H t) |psi>, computed through the eigendecomposition of
-    H, EVOLVE_TIME_BLOCK times at a time so that memory is O(dim x block).
-    First moments are <psi(t)|A|psi(t)> and second moments ||A psi(t)||^2.
-    Every operator acts through its real single-oscillator factor on the
-    float view of the complex states: the system holds each momentum p = i q
-    as its real q, with ||p psi|| = ||q psi|| and <p> = -Im <psi|q|psi>.
-    The returned columns are the standard deviations
-    of the bare coordinates and momenta on the evolved state, divided by the
+    |psi(t)> = exp(-i H t) |psi>, computed through the eigenvectors of H on
+    which |psi> has a nonzero coefficient (for an entangled state, those of the
+    odd parity sector), EVOLVE_TIME_BLOCK times at a time so that memory is
+    O(dim x block).  First moments are <psi(t)|A|psi(t)> and second moments
+    ||A psi(t)||^2.  Every operator acts through its real single-oscillator
+    factor on the float view of the complex states: the system holds each
+    momentum p = i q as its real q, with ||p psi|| = ||q psi|| and
+    <p> = -Im <psi|q|psi>.  The returned columns are the standard deviations of
+    the bare coordinates and momenta on the evolved state, divided by the
     single-oscillator ground-state values; none of the closed-form amplitude
     results enter.  Times at which a phase E * t overflows are rejected.
     """
@@ -262,6 +263,8 @@ def evolve_expectations(
 
     psi0 = fock.bell_vector(system, state)
     coeffs = system.vectors.T @ psi0  # the eigenvectors are real
+    kept = np.flatnonzero(coeffs)  # a zero coefficient adds exactly nothing to |psi(t)>
+    energies, vectors, coeffs = system.energies[kept], system.vectors[:, kept], coeffs[kept]
     w = system.params.omega
     # for x1, x2, q1, q2: (part of <psi|op|psi> that is <A>, normalization); A = op or i op
     observables = (
@@ -273,7 +276,7 @@ def evolve_expectations(
     dx1, dx2, dp1, dp2 = stds = [np.empty(times.size) for _ in observables]
     for start in range(0, times.size, EVOLVE_TIME_BLOCK):
         block = slice(start, start + EVOLVE_TIME_BLOCK)
-        evolved = _evolve(system, coeffs[:, None], times[block])  # (dim, block size)
+        evolved = _evolve(energies, vectors, coeffs[:, None], times[block])  # (dim, block size)
         for out, image, (mean_part, norm_sq) in zip(stds, system.bare_images(evolved), observables):
             first = mean_part(np.einsum("it,it->t", evolved.conj(), image))
             second = np.einsum("it,it->t", image.conj(), image).real

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from dense_reference import NAMES, dense_bare, dense_operators
 
+from bellosc import fock
 from bellosc.fock import (
     ConvergenceError,
     OperatorMatrix,
@@ -194,6 +195,24 @@ class TestTwoModeBasis:
         low = basis.mask_total_at_most(1)
         assert sorted(np.flatnonzero(low)) == [basis.index(0, 0), basis.index(0, 1), basis.index(1, 0)]
 
+    @pytest.mark.parametrize("cutoff", [3, 4, 12])
+    def test_parity_sectors_split_the_basis_by_the_parity_of_n1_plus_n2(self, cutoff):
+        basis = TwoModeBasis(cutoff)
+        even, odd = basis.parity_sectors()
+        n1, n2 = basis.occupations()
+        assert np.array_equal(np.sort(np.concatenate([even, odd])), np.arange(basis.dim))
+        assert np.all((n1 + n2)[even] % 2 == 0) and np.all((n1 + n2)[odd] % 2 == 1)
+        assert (even.size, odd.size) == (math.ceil(basis.dim / 2), basis.dim // 2)
+
+
+def _couple_parity_sectors(system):
+    """A copy of h with a symmetric 1e-3 entry between |0,0> (even) and |1,0> (odd)."""
+    out = system.h.copy()
+    i, j = system.basis.index(0, 0), system.basis.index(1, 0)
+    out[i, j] += 1e-3
+    out[j, i] += 1e-3
+    return out
+
 
 def _nudge_off_diagonal(h):
     """A copy of h with its first nonzero off-diagonal entry (0, j) moved by one ulp."""
@@ -245,6 +264,8 @@ class TestSolvedSystem:
             # one entry one ulp off its mirror
             pytest.param("x", lambda s: _nudge_off_diagonal(s.x), id="x-one-ulp"),
             ("h", lambda s: _nudge_off_diagonal(s.h)),
+            # still symmetric, but no longer block-diagonal in the parity of n1 + n2
+            pytest.param("h", _couple_parity_sectors, id="h-couples-parity-sectors"),
             # symmetric or antisymmetric, but not L x L for the basis
             pytest.param("x", lambda s: np.pad(s.x, (0, 1)), id="x-one-level-too-many"),
             pytest.param("q", lambda s: s.q[:-1, :-1], id="q-one-level-too-few"),
@@ -285,6 +306,44 @@ class TestSolvedSystem:
         system = solve(SystemParams(1.0, 0.8), TwoModeBasis(8))
         h, gs = system.h, system.ground
         assert np.max(np.abs(h @ gs - system.energies[0] * gs)) < 1e-12
+
+
+SECTOR_SETTINGS = [
+    (omega, g, cutoff)
+    for cutoff in (3, 6, 12, 20)
+    for omega in (1e-150, 0.3, 1.0, 7.0, 1e150)
+    for g in (0.0, 0.5, 1.5)
+]
+
+
+class TestParitySectors:
+    @pytest.mark.parametrize("cutoff", [3, 6, 12, 20])
+    def test_solve_diagonalizes_each_sector_once(self, monkeypatch, cutoff):
+        blocks = []
+
+        def recording_eigensystem(h):
+            blocks.append(h.shape)
+            return np.linalg.eigh(h)
+
+        monkeypatch.setattr(fock, "hamiltonian_eigensystem", recording_eigensystem)
+        basis = TwoModeBasis(cutoff)
+        solve(SystemParams(1.0, 0.5), basis)
+        even, odd = math.ceil(basis.dim / 2), basis.dim // 2
+        assert blocks == [(even, even), (odd, odd)]
+
+    @pytest.mark.parametrize("omega, g, cutoff", SECTOR_SETTINGS)
+    def test_sector_eigensystem_agrees_with_the_whole_h(self, omega, g, cutoff):
+        system = solve(SystemParams(omega, g), TwoModeBasis(cutoff))
+        h, energies, vectors = system.h, system.energies, system.vectors
+        whole = np.linalg.eigh(h)[0]
+        assert np.max(np.abs(energies - whole)) <= 1e-12 * np.max(np.abs(whole))
+        rebuilt = (vectors * energies) @ vectors.T
+        assert np.max(np.abs(rebuilt - h)) <= 1e-12 * np.max(np.abs(h))
+        # every eigenvector lies in one sector: exactly zero on the other one's rows
+        even, odd = system.basis.parity_sectors()
+        in_even = ~np.any(vectors[odd], axis=0)
+        assert np.array_equal(in_even, np.any(vectors[even], axis=0))
+        assert np.count_nonzero(in_even) == even.size and in_even[0]  # the ground state is even
 
 
 FACTOR_SETTINGS = [

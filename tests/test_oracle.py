@@ -287,18 +287,19 @@ class TestEvolveExpectations:
         params = SystemParams(omega, g)
         system = solve(params, TwoModeBasis(cutoff))
         coeffs = system.vectors[:, :1]  # any real coefficients: U(t) is compared directly
+        eigensystem = (system.energies, system.vectors)
 
-        def exp_evolve(system, coeffs, times):
-            phases = np.exp(-1j * np.multiply.outer(system.energies, times))
-            return oracle._real_times(system.vectors, phases * coeffs)
+        def exp_evolve(energies, vectors, coeffs, times):
+            phases = np.exp(-1j * np.multiply.outer(energies, times))
+            return oracle._real_times(vectors, phases * coeffs)
 
         for times in (
             np.linspace(0.0, default_t_max(params), 200),
             np.array([1.0 / omega]),
             np.linspace(0.0, 1e7, 200),
         ):
-            direct = oracle._evolve(system, coeffs, times)
-            expected = exp_evolve(system, coeffs, times)
+            direct = oracle._evolve(*eigensystem, coeffs, times)
+            expected = exp_evolve(*eigensystem, coeffs, times)
             assert np.array_equal(direct.view(np.uint64), expected.view(np.uint64))
             evolved = evolve_expectations(system, PSI_M, times)
             with monkeypatch.context() as patch:
@@ -308,9 +309,29 @@ class TestEvolveExpectations:
                 ours, ref = getattr(evolved, col), getattr(reference, col)
                 assert np.array_equal(ours.view(np.uint64), ref.view(np.uint64)), col
 
+    @pytest.mark.parametrize("state", [PSI_P, PSI_M])
+    def test_evolves_an_entangled_state_in_the_odd_sector_only(self, monkeypatch, state):
+        # the state's coefficients on the even-sector eigenvectors are exactly zero
+        system = solve(SystemParams(1.0, 0.5), TwoModeBasis(12))
+        passed, evolve = [], oracle._evolve
+
+        def recording_evolve(energies, vectors, coeffs, times):
+            passed.append((energies, vectors))
+            return evolve(energies, vectors, coeffs, times)
+
+        monkeypatch.setattr(oracle, "_evolve", recording_evolve)
+        evolve_expectations(system, state, np.linspace(0.0, 10.0, 5))
+        odd = system.basis.parity_sectors()[1]
+        columns = np.flatnonzero(np.any(system.vectors[odd], axis=0))
+        assert columns.size == odd.size
+        [(energies, vectors)] = passed
+        assert np.array_equal(energies, system.energies[columns])
+        assert np.array_equal(vectors, system.vectors[:, columns])
+
     def test_time_blocks_agree_with_one_block(self, monkeypatch):
         system = solve(SystemParams(1.0, 0.8), TwoModeBasis(10))
         times = np.linspace(0.0, 30.0, 61)
+        monkeypatch.setattr(oracle, "EVOLVE_TIME_BLOCK", times.size)
         whole = evolve_expectations(system, PSI_M, times)
         monkeypatch.setattr(oracle, "EVOLVE_TIME_BLOCK", 7)  # 9 blocks, the last one short
         blocked = evolve_expectations(system, PSI_M, times)
