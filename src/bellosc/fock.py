@@ -227,8 +227,8 @@ class SolvedSystem:
     (ascending, eigenvectors as columns); ``ground`` is the lowest
     eigenvector.  Construction is the one check of the oracle's arrays: it
     freezes each one and raises ``ValueError``, naming the field, unless every
-    array is float64, x and q are L x L, x and h equal their transpose and q
-    minus its transpose, and h is zero between the two parity sectors,
+    array is float64, x and q are L x L and h is L^2 x L^2, x and h equal their
+    transpose and q minus its transpose, h is zero between the parity sectors,
     exactly; so every lifted x and i q is Hermitian and H is block-diagonal.
     """
 
@@ -248,8 +248,9 @@ class SolvedSystem:
             if getattr(m, "dtype", None) != np.float64:
                 raise ValueError(f"{name} must be a real float64 array")
             m.setflags(write=False)
-            if name in ("x", "q") and m.shape != (levels, levels):
-                raise ValueError(f"{name} must have shape ({levels}, {levels}), got {m.shape}")
+            side = {"x": levels, "q": levels, "h": self.basis.dim}.get(name)
+            if side is not None and m.shape != (side, side):
+                raise ValueError(f"{name} must have shape ({side}, {side}), got {m.shape}")
             if name in ("x", "h") and not np.array_equal(m.T, m):
                 raise ValueError(f"{name} must be symmetric")
             if name == "h" and np.any(m[np.ix_(*self.basis.parity_sectors())]):

@@ -34,7 +34,7 @@ __all__ = [
     "cross_momentum_scaling_probe",
 ]
 
-EVOLVE_TIME_BLOCK = 32  # grid points evolved together: few, so evolution temporaries stay small
+EVOLVE_TIME_BLOCK = 2048  # grid points evolved together by evolve_expectations
 
 
 @dataclass(frozen=True)

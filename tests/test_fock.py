@@ -270,6 +270,9 @@ class TestSolvedSystem:
             pytest.param("x", lambda s: np.pad(s.x, (0, 1)), id="x-one-level-too-many"),
             pytest.param("q", lambda s: s.q[:-1, :-1], id="q-one-level-too-few"),
             pytest.param("x", lambda s: s.x.ravel(), id="x-flattened"),
+            # symmetric, but not L^2 x L^2: checked before its parity blocks are indexed
+            pytest.param("h", lambda s: s.h[:-1, :-1], id="h-wrong-shape"),
+            pytest.param("h", lambda s: np.pad(s.h, (0, 1)), id="h-one-state-too-many"),
         ],
     )
     def test_rejects_a_system_without_the_structure(self, field, tamper):

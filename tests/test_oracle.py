@@ -331,7 +331,6 @@ class TestEvolveExpectations:
     def test_time_blocks_agree_with_one_block(self, monkeypatch):
         system = solve(SystemParams(1.0, 0.8), TwoModeBasis(10))
         times = np.linspace(0.0, 30.0, 61)
-        monkeypatch.setattr(oracle, "EVOLVE_TIME_BLOCK", times.size)
         whole = evolve_expectations(system, PSI_M, times)
         monkeypatch.setattr(oracle, "EVOLVE_TIME_BLOCK", 7)  # 9 blocks, the last one short
         blocked = evolve_expectations(system, PSI_M, times)
