@@ -676,39 +676,34 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     physics, output = ["--omega", "--coupling"], ["--format", "--output"]
     grid = ["--t-max", "--steps"]
-    # name, handler, summary, options in help order, help texts that differ from _OPTIONS
-    for name, handler, summary, options, helps in (
+    # name, summary, options in help order, help texts that differ from _OPTIONS
+    for name, summary, options, helps in (
         (
             "verify",
-            cmd_verify,
             "run the oracle suite against the closed forms",
             [*physics, "--cutoff", "--tolerance", *grid],
             {},
         ),
         (
             "trace",
-            cmd_trace,
             "export amplitude and uncertainty-product columns",
             [*physics, "--state", *grid, *output],
             {},
         ),
         (
             "sweep",
-            cmd_sweep,
             "export period statistics across couplings",
             ["--omega", "--state", "--couplings", *output],
             {},
         ),
         (
             "sample",
-            cmd_sample,
             "export one seeded stochastic realization",
             [*physics, "--state", "--oscillator", *grid, "--seed", *output],
             {},
         ),
         (
             "figures",
-            cmd_figures,
             "write the standard figure data files",
             ["--omega", "--state", *grid, "--seed", "--couplings", "--out-dir"],
             {
@@ -718,7 +713,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     ):
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(handler=handler, **DEFAULTS)  # before add_argument, which reads them
+        # The handler is named, not bound: main looks it up when it runs, so a
+        # replaced cmd_* module attribute takes effect on a parser built before.
+        p.set_defaults(handler=f"cmd_{name}", **DEFAULTS)  # before add_argument, which reads them
         for option in options:
             spec = _OPTIONS[option]
             p.add_argument(option, **{**spec, "help": helps.get(option, spec["help"])})
@@ -768,12 +765,17 @@ def _pipe_closed() -> int:
     return EXIT_PIPE_CLOSED
 
 
+_parser: argparse.ArgumentParser | None = None  # built by the first main call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:  # not at import, which would put the build in every start-up
+        _parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(_attach_negative_values(argv))
-        return args.handler(args)
+        args = _parser.parse_args(_attach_negative_values(argv))
+        return globals()[args.handler](args)
     except BrokenPipeError:
         return _pipe_closed()
     except (ValueError, fock.ConvergenceError, OSError) as exc:

@@ -10,11 +10,12 @@ which the Bell-state ladder operators are built.
 
 Every observable except H is kron(m, 1) or kron(1, m) of a single-oscillator
 matrix m, and :func:`lift` applies it through m alone; only H is held as a
-dense product-space matrix, and each term of H changes n1 + n2 by 0 or 2, so
-H is diagonalized per parity block of n1 + n2.  :func:`solve` builds the
-factors, H and its eigensystem once per ``(params, basis)`` as plain arrays
-and returns a :class:`SolvedSystem`, the one place that checks and freezes
-them; every oracle check reads it.  Each momentum p = i q is held as its real q.
+dense product-space matrix, so np.kron runs only in :func:`coupled_hamiltonian`.
+Each term of H changes n1 + n2 by 0 or 2, so H is diagonalized per parity
+block of n1 + n2.  :func:`solve` builds the factors, H and its eigensystem
+once per ``(params, basis)`` as plain arrays and returns a
+:class:`SolvedSystem`, the one place that checks and freezes them; every
+oracle check reads it.  Each momentum p = i q is held as its real q.
 
 Truncation corrupts only the top Fock levels, so operator identities are
 meaningful on the low-lying subspace where every occupation stays well below
@@ -188,6 +189,7 @@ def coupled_hamiltonian(params: SystemParams, basis: TwoModeBasis) -> np.ndarray
     are tridiagonal, so an entry of x @ x or q @ q sums the same products as
     its mirror, and H is exactly symmetric.  H is accumulated in place, at most
     three dim x dim arrays at a time, as ((pp1 + pp2) + w^2 x_sq) + W^2 diff_sq.
+    These Kronecker products are the only np.kron calls of the oracle.
     """
     x, q = bare_quadratures(params, basis)
     xx, pp = x @ x, -(q @ q)

@@ -155,27 +155,35 @@ def commutator_check(system: SolvedSystem) -> list[OracleReport]:
     whose occupations are strictly below the cutoff (ladder truncation only
     corrupts the top level of each mode).  The commutators do not depend on
     the frequency; deviations are exact zeros up to float rounding, so the
-    tolerance is fixed at 1e-12.  The system holds each momentum b = i q as
-    its real antisymmetric q (see :class:`~bellosc.fock.SolvedSystem`) and
-    each coordinate a is symmetric, so [a, b] = i (a q + (a q)^T).  The
-    deviation is max |a q + (a q)^T - delta 1| on the checked block, where a q
-    sums the factor products x1 q1 = kron(x q, 1), x1 q2 = kron(x, q),
-    x2 q1 = kron(q, x) and x2 q2 = kron(1, x q), each cut below the cutoff.
+    tolerance is fixed at 1e-12.
+
+    What is tested is the single-oscillator relation [a, a^dag] = 1 below the
+    cutoff, carried to each mode by its weights.  With a_n the weight of
+    oscillator n in A's mode and b_n in B's, the pair (A, B) gives oscillator n
+    the weight s_n = a_n b_n.  The system holds each momentum p = i q as its
+    real q, and :class:`~bellosc.fock.SolvedSystem` enforces x exactly
+    symmetric and q exactly antisymmetric.  So the cross-oscillator
+    products x1 q2 = kron(x, q) and x2 q1 = kron(q, x) cancel their
+    transposes entry by entry, and [A, B] = i (S_1 kron 1 + 1 kron S_2) with
+    S_n = s_n x q + (s_n x q)^T cut below the cutoff.  The deviation from
+    i delta 1 is the larger of max |S_1[i, i] + S_2[k, k] - delta| over pairs
+    of diagonal entries and the largest off-diagonal |S_n|.  That is one c x c
+    matrix per oscillator in place of a dense (c^2 x c^2) block, and bit for
+    bit the same deviation.
     """
     c = system.basis.cutoff
-    x, q = system.x, system.q
-    xq, xc, qc, eye = (x @ q)[:c, :c], x[:c, :c], q[:c, :c], np.eye(c)
-    products = {(0, 0): (xq, eye), (0, 1): (xc, qc), (1, 0): (qc, xc), (1, 1): (eye, xq)}
+    xq = (system.x @ system.q)[:c, :c]
     inv = 1.0 / np.sqrt(2.0)
     # weights of oscillators 1 and 2 in each mode, shared by its coordinate and momentum
     weights = {"1": (1.0, 0.0), "2": (0.0, 1.0), "+": (inv, inv), "-": (inv, -inv)}
     reports = []
     for pair in ("x1,p1", "x2,p2", "x1,p2", "x2,p1", "X+,P+", "X-,P-", "X+,P-", "X-,P+"):
         (a, b), delta = (weights[pair[1]], weights[pair[4]]), float(pair[1] == pair[4])
-        aq = sum(np.kron(a[i] * b[j] * f, g) for (i, j), (f, g) in products.items() if a[i] * b[j])
-        sym = aq + aq.T
-        sym.flat[:: c * c + 1] -= delta
-        dev = float(np.max(np.abs(sym)))
+        s1, s2 = (sq + sq.T for sq in (a[0] * b[0] * xq, a[1] * b[1] * xq))
+        diag = np.add.outer(np.diag(s1), np.diag(s2)) - delta
+        np.fill_diagonal(s1, 0.0)
+        np.fill_diagonal(s2, 0.0)
+        dev = max(float(np.max(np.abs(m))) for m in (diag, s1, s2))
         reports.append(OracleReport.compare(f"commutator [{pair}] - i*{delta:g}", 0.0, dev, 1e-12))
     return reports
 

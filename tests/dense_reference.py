@@ -3,7 +3,8 @@
 The oracle never forms these: it applies every operator through the
 single-oscillator factors x and q of a solved system.  Here each bare operator
 is np.kron of a factor with the identity, and each normal-mode operator is
-(first ± second) / sqrt(2) of two dense bare ones.
+(first ± second) / sqrt(2) of two dense bare ones.  The commutator check's
+deviations are likewise formed here from dense (c^2 x c^2) kron blocks.
 """
 
 import numpy as np
@@ -23,3 +24,26 @@ def dense_operators(system):
     inv = 1.0 / np.sqrt(2.0)
     normal = (inv * (x1 + x2), inv * (x1 - x2), inv * (q1 + q2), inv * (q1 - q2))
     return dict(zip(NAMES, (x1, x2, q1, q2) + normal))
+
+
+def kron_commutator_deviations(system):
+    """Each commutator line's deviation max |a q + (a q)^T - delta 1| from a dense kron block.
+
+    a q sums the factor products x1 q1 = kron(x q, 1), x1 q2 = kron(x, q),
+    x2 q1 = kron(q, x) and x2 q2 = kron(1, x q), each cut below the cutoff and
+    weighted by the line's oscillator weights.  Keyed by the lines' pair labels.
+    """
+    c = system.basis.cutoff
+    x, q = system.x, system.q
+    xq, xc, qc, eye = (x @ q)[:c, :c], x[:c, :c], q[:c, :c], np.eye(c)
+    products = {(0, 0): (xq, eye), (0, 1): (xc, qc), (1, 0): (qc, xc), (1, 1): (eye, xq)}
+    inv = 1.0 / np.sqrt(2.0)
+    weights = {"1": (1.0, 0.0), "2": (0.0, 1.0), "+": (inv, inv), "-": (inv, -inv)}
+    devs = {}
+    for pair in ("x1,p1", "x2,p2", "x1,p2", "x2,p1", "X+,P+", "X-,P-", "X+,P-", "X-,P+"):
+        (a, b), delta = (weights[pair[1]], weights[pair[4]]), float(pair[1] == pair[4])
+        aq = sum(np.kron(a[i] * b[j] * f, g) for (i, j), (f, g) in products.items() if a[i] * b[j])
+        sym = aq + aq.T
+        sym.flat[:: c * c + 1] -= delta
+        devs[pair] = float(np.max(np.abs(sym)))
+    return devs

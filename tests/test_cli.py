@@ -716,6 +716,48 @@ class TestSurface:
         assert list(json.loads(out)["metadata"].items()) == list(expected.items())
 
 
+def _exit_output(capsys, parse, argv):
+    """(exit code, stdout, stderr) of a parse that exits, as --help and usage errors do."""
+    with pytest.raises(SystemExit) as exc:
+        parse(list(argv))
+    return (exc.value.code, *capsys.readouterr())
+
+
+class TestParserBuiltOnce:
+    """main builds its parser on the first call and keeps it; handlers are looked up per call."""
+
+    def test_two_calls_build_the_parser_once(self, monkeypatch, capsys):
+        build, built = cli.build_parser, []
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        for _ in range(2):
+            assert run(capsys, "sweep", "--couplings", "0.5")[0] == 0
+        assert built == [1]
+
+    def test_replaced_handler_runs(self, monkeypatch, capsys):
+        run(capsys, "sweep", "--couplings", "0.5")  # the parser exists before the replacement
+        seen = []
+        monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.append(args.cutoff) or 7)
+        assert main(["verify", "--cutoff", "6"]) == 7
+        assert seen == [6]
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(("--help",), 0), (("verify", "--help"), 0), (("verify", "--cutoff", "x"), 2)],
+        ids=["help", "verify-help", "usage-error"],
+    )
+    def test_exit_output_matches_a_fresh_parser(self, argv, code, monkeypatch, capsys):
+        fresh = _exit_output(capsys, cli.build_parser().parse_args, argv)
+        assert fresh[0] == code
+        if code == 2:
+            assert fresh[1] == ""
+            assert [line for line in fresh[2].splitlines() if "error:" in line] == [
+                "bellosc verify: error: argument --cutoff: invalid int value: 'x'"
+            ]
+        monkeypatch.setattr(cli, "_parser", None)
+        assert [_exit_output(capsys, main, argv) for _ in range(2)] == [fresh, fresh]
+
+
 @pytest.fixture(scope="module")
 def figure_dir(tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("figs")

@@ -2,10 +2,11 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from dense_reference import dense_operators
+from dense_reference import dense_operators, kron_commutator_deviations
 
 from bellosc import analytic, fock, oracle
 from bellosc.fock import TwoModeBasis, solve
@@ -155,6 +156,27 @@ class TestCommutators:
         reports = commutator_check(solve(SystemParams(1.0), TwoModeBasis(8)))
         cross = report_by_label(reports, "[x1,p2]")[0]
         assert cross.oracle_value == 0.0
+
+    @pytest.mark.parametrize("omega", [1e-150, 1e-12, 0.3, 1.0, 7.0, 1e150])
+    def test_equals_kron_block_deviations(self, omega):
+        # the c x c form reads the same floats as the dense kron block, bit for bit
+        for coupling in (0.0, 0.05, 0.5, 1.5, 4.8, 100.0):
+            for cutoff in (3, 6, 12, 20):
+                system = solve(SystemParams(omega, coupling), TwoModeBasis(cutoff))
+                reports = commutator_check(system)
+                devs = {r.label.split()[1].strip("[]"): r.abs_diff for r in reports}
+                assert devs == kron_commutator_deviations(system), (coupling, cutoff)
+
+    def test_memory_peak_stays_below_a_kron_block(self):
+        # one dense (c^2 x c^2) block at cutoff 20 alone is 1250 KB
+        system = solve(SystemParams(1.0, 0.5), TwoModeBasis(20))
+        tracemalloc.start()
+        try:
+            commutator_check(system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestHeisenbergEvolution:
