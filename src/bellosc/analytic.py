@@ -34,7 +34,9 @@ __all__ = [
     "uncertainty_sum",
     "baseline_nc",
     "period_statistics",
+    "check_trace",
     "trace",
+    "trace_blocks",
 ]
 
 SQRT3 = math.sqrt(3.0)
@@ -48,22 +50,32 @@ def bell_sign(state: BellState, osc: OscillatorIndex) -> int:
     return sign if osc is OscillatorIndex.ONE else -sign
 
 
+def _beat_cos(params: SystemParams, t):
+    return np.cos(beat_frequency(params) * np.asarray(t, dtype=float))
+
+
+def _amplitude(kind: str, params: SystemParams, sign: int, c):
+    """Column kind "dx", "dp" or "up" from the Bell sign and c = cos(w_beat t)."""
+    e = eta(params)
+    if kind == "dx":
+        return np.sqrt(1.0 + 1.0 / e + sign * c / math.sqrt(e))
+    if kind == "dp":
+        return np.sqrt(1.0 + e + sign * math.sqrt(e) * c)
+    return uncertainty_sum(params) + sign * c
+
+
 def normalized_x_fluctuation(params, state, osc, t):
     """Normalized coordinate fluctuation amplitude at time t (scalar or array).
 
     sqrt(1 + 1/eta + sign * cos(w_beat t) / sqrt(eta)), bounded between
     sqrt(1 + 1/eta - 1/sqrt(eta)) and sqrt(1 + 1/eta + 1/sqrt(eta)).
     """
-    e = eta(params)
-    c = np.cos(beat_frequency(params) * np.asarray(t, dtype=float))
-    return np.sqrt(1.0 + 1.0 / e + bell_sign(state, osc) * c / math.sqrt(e))
+    return _amplitude("dx", params, bell_sign(state, osc), _beat_cos(params, t))
 
 
 def normalized_p_fluctuation(params, state, osc, t):
     """Normalized momentum fluctuation amplitude sqrt(1 + eta + sign * sqrt(eta) cos(w_beat t))."""
-    e = eta(params)
-    c = np.cos(beat_frequency(params) * np.asarray(t, dtype=float))
-    return np.sqrt(1.0 + e + bell_sign(state, osc) * math.sqrt(e) * c)
+    return _amplitude("dp", params, bell_sign(state, osc), _beat_cos(params, t))
 
 
 def uncertainty_sum(params: SystemParams) -> float:
@@ -83,8 +95,7 @@ def uncertainty_product(params, state, osc, t):
     s = sqrt(eta) + 1/sqrt(eta) >= 2, so the product reduces to
     s + sign * cos(w_beat t) and never drops below s - 1 >= 1.
     """
-    c = np.cos(beat_frequency(params) * np.asarray(t, dtype=float))
-    return uncertainty_sum(params) + bell_sign(state, osc) * c
+    return _amplitude("up", params, bell_sign(state, osc), _beat_cos(params, t))
 
 
 def baseline_nc(state: BellState, osc: OscillatorIndex) -> tuple[float, float]:
@@ -121,15 +132,7 @@ class FluctuationTrace:
             if arr.ndim != 1 or arr.size != n:
                 raise ValueError(f"column {name} must be 1-d of length {n}")
             object.__setattr__(self, name, arr)
-        if n >= 2 and not np.all(np.diff(cols["times"]) > 0):
-            raise ValueError("times must be strictly increasing")
-        for name in ("dx1", "dx2", "dp1", "dp2", "up1", "up2"):
-            if not np.all(cols[name] > 0):
-                raise ValueError(f"column {name} must be strictly positive")
-        for up, dx, dp in (("up1", "dx1", "dp1"), ("up2", "dx2", "dp2")):
-            dev = np.max(np.abs(cols[up] - cols[dx] * cols[dp]))
-            if dev > PRODUCT_CONSISTENCY_TOL:
-                raise ValueError(f"{up} deviates from {dx}*{dp} by {dev:.3e}")
+        check_trace([cols])
 
     @staticmethod
     def column_names() -> tuple[str, ...]:
@@ -188,6 +191,63 @@ def period_statistics(
     )
 
 
+def trace_blocks(
+    params, state, t_start, t_end, n_points, rows, names=("dx1", "dx2", "dp1", "dp2", "up1", "up2")
+):
+    """Yield the trace in consecutive blocks of at most ``rows`` grid points.
+
+    Each block is a dict of its "times" and of the named columns, which share
+    one cos(w_beat t); the blocks join into ``trace``'s arrays bit for bit.
+    The grid is checked when the first block is made.
+    """
+    if not (math.isfinite(t_start) and math.isfinite(t_end) and t_end > t_start):
+        raise ValueError(f"need finite t_end > t_start, got [{t_start}, {t_end}]")
+    if n_points < 2:
+        raise ValueError(f"n_points must be >= 2, got {n_points}")
+    div, delta = n_points - 1, float(t_end) - float(t_start)
+    for start in range(0, n_points, rows):
+        # np.linspace(t_start, t_end, n_points)[start : start + rows] bit for bit: i * step
+        # + t_start, or i / div * delta where the step underflows to 0, and the last t_end
+        times = np.arange(start, min(start + rows, n_points), dtype=float)
+        times = times / div * delta if delta / div == 0 else times * (delta / div)
+        times += t_start
+        times[n_points - 1 - start :] = t_end  # empty unless this block holds the last point
+        block = {"times": times}
+        c = _beat_cos(params, times) if names else None
+        for name in names:  # a kind and an oscillator number, "dx1" to "up2"
+            sign = bell_sign(state, OscillatorIndex(int(name[2])))
+            block[name] = _amplitude(name[:2], params, sign, c)
+        yield block
+
+
+def check_trace(blocks) -> None:
+    """Raise the error ``FluctuationTrace`` raises for the columns ``blocks`` join into.
+
+    ``blocks`` yields dicts of every column, as ``trace_blocks`` does.  The time
+    steps (across block boundaries too), the other columns' values and the
+    products' deviations are reduced a block at a time.
+    """
+    low = dict.fromkeys(FluctuationTrace.column_names(), np.inf)
+    dev = {"up1": 0.0, "up2": 0.0}
+    last = np.empty(0)
+    for cols in blocks:
+        times = np.concatenate((last, cols["times"]))
+        last = times[-1:]
+        for name, values in {**cols, "times": np.diff(times)}.items():
+            low[name] = np.minimum(low[name], np.min(values, initial=np.inf))
+        for up in dev:  # up1 = dx1 * dp1, up2 = dx2 * dp2
+            product = cols["dx" + up[-1]] * cols["dp" + up[-1]]
+            dev[up] = np.maximum(dev[up], np.max(np.abs(cols[up] - product)))
+    for name, value in low.items():
+        if not value > 0:  # a nan fails here, as it fails np.all(column > 0)
+            if name == "times":
+                raise ValueError("times must be strictly increasing")
+            raise ValueError(f"column {name} must be strictly positive")
+    for up, value in dev.items():
+        if value > PRODUCT_CONSISTENCY_TOL:
+            raise ValueError(f"{up} deviates from dx{up[-1]}*dp{up[-1]} by {value:.3e}")
+
+
 def trace(
     params: SystemParams,
     state: BellState,
@@ -196,18 +256,5 @@ def trace(
     n_points: int,
 ) -> FluctuationTrace:
     """Evaluate every closed-form column on a uniform time grid."""
-    if not (math.isfinite(t_start) and math.isfinite(t_end) and t_end > t_start):
-        raise ValueError(f"need finite t_end > t_start, got [{t_start}, {t_end}]")
-    if n_points < 2:
-        raise ValueError(f"n_points must be >= 2, got {n_points}")
-    times = np.linspace(t_start, t_end, n_points)
-    one, two = OscillatorIndex.ONE, OscillatorIndex.TWO
-    return FluctuationTrace(
-        times=times,
-        dx1=normalized_x_fluctuation(params, state, one, times),
-        dx2=normalized_x_fluctuation(params, state, two, times),
-        dp1=normalized_p_fluctuation(params, state, one, times),
-        dp2=normalized_p_fluctuation(params, state, two, times),
-        up1=uncertainty_product(params, state, one, times),
-        up2=uncertainty_product(params, state, two, times),
-    )
+    (whole,) = trace_blocks(params, state, t_start, t_end, n_points, rows=n_points)
+    return FluctuationTrace(**whole)

@@ -325,8 +325,8 @@ def _write_json(stream, rows: _Rows, metadata: dict) -> None:
     One pass over the blocks of ``rows`` per column, which asks the source for
     that column alone.  Each block is laid out in one byte buffer, a separator
     in front of every token, _PIECE_ROWS rows at a time; the first one's comma
-    is dropped.  A column that is constant within a block is formatted once
-    and repeated.
+    is dropped.  A block of a column that is constant within it is written as
+    its one item, separator and token, repeated.
     """
     stream.write('{\n  "metadata": ' + json.dumps(metadata, indent=2).replace("\n", "\n  "))
     stream.write(',\n  "columns": {')
@@ -337,20 +337,22 @@ def _write_json(stream, rows: _Rows, metadata: dict) -> None:
         first = True
         for (col,) in rows.blocks((name,)):
             col = np.asarray(col, dtype=float)
+            constant = _is_constant(col)
+            values = col[:1] if constant else col
             # one buffer per block: see _PIECE_ROWS
-            buffer = np.empty((len(col), len(sep) + _JSON_TOKEN_BYTES), dtype=np.uint8)
+            buffer = np.empty((len(values), len(sep) + _JSON_TOKEN_BYTES), dtype=np.uint8)
             buffer[:, : len(sep)] = sep
             slot = buffer[:, len(sep) :]
-            if _is_constant(col):
-                _json_items(col[:1], slot[:1])
-                slot[1:] = slot[0]
+            for start in range(0, len(values), _PIECE_ROWS):
+                piece = slice(start, start + _PIECE_ROWS)
+                _json_items(values[piece], slot[piece])
+            if constant:
+                text = buffer.tobytes().translate(None, b"\0").decode("ascii") * len(col)
+                stream.write(text[1:] if first else text)  # no comma before the first item
             else:
-                for start in range(0, len(col), _PIECE_ROWS):
-                    piece = slice(start, start + _PIECE_ROWS)
-                    _json_items(col[piece], slot[piece])
-            if first:
-                buffer[0, 0] = 0  # no comma before the first item
-            _write_bytes(stream, buffer)
+                if first:
+                    buffer[0, 0] = 0  # no comma before the first item
+                _write_bytes(stream, buffer)
             first = False
         stream.write("]" if first else "\n    ]")
         key_sep = ",\n    "
@@ -389,33 +391,33 @@ def _couplings(args: argparse.Namespace) -> list[float]:
 # subcommands
 #
 # One column builder per export kind; the subcommands and `figures` all write
-# what these return through the same writers.  `trace` and `sweep` columns are
-# whole arrays, handed to the writers as row blocks by `_array_rows`; a sample
-# is made a block at a time as it is written.
+# what these return through the same writers.  `sweep` columns are whole
+# arrays, handed to the writers as row blocks by `_array_rows`; a trace and a
+# sample are made a block at a time as they are written.
 
 
-def _trace_columns(
-    params: SystemParams, state: BellState, t_max: float, steps: int
-) -> dict[str, np.ndarray]:
+def _trace_rows(params: SystemParams, state: BellState, t_max: float, steps: int) -> _Rows:
+    """A trace's columns, made a block at a time (``analytic.trace_blocks``) as they are read.
+
+    One pass over the blocks checks the whole trace before this returns, so a
+    trace that fails a ``FluctuationTrace`` invariant writes no byte.  The four
+    non-coupled baselines are one value each, a zero-stride view per block.
+    """
     if steps > MAX_GRID_POINTS:
         raise ValueError(f"steps = {steps} exceeds the {MAX_GRID_POINTS:.0e} point guard")
-    tr = analytic.trace(params, state, 0.0, t_max, steps)
+    analytic.check_trace(analytic.trace_blocks(params, state, 0.0, t_max, steps, _BLOCK_ROWS))
     amp1_nc, up1_nc = analytic.baseline_nc(state, OscillatorIndex.ONE)
-    _, up2_nc = analytic.baseline_nc(state, OscillatorIndex.TWO)
-    n = len(tr.times)  # each baseline is one value repeated: a zero-stride view
-    return {
-        "t": tr.times,
-        "dx1": tr.dx1,
-        "dx2": tr.dx2,
-        "dp1": tr.dp1,
-        "dp2": tr.dp2,
-        "up1": tr.up1,
-        "up2": tr.up2,
-        "dx1_nc": np.broadcast_to(amp1_nc, n),
-        "dp1_nc": np.broadcast_to(amp1_nc, n),
-        "up1_nc": np.broadcast_to(up1_nc, n),
-        "up2_nc": np.broadcast_to(up2_nc, n),
-    }
+    up2_nc = analytic.baseline_nc(state, OscillatorIndex.TWO)[1]
+    baselines = {"dx1_nc": amp1_nc, "dp1_nc": amp1_nc, "up1_nc": up1_nc, "up2_nc": up2_nc}
+
+    def blocks(names):
+        computed = tuple(name for name in names if name not in baselines and name != "t")
+        for block in analytic.trace_blocks(params, state, 0.0, t_max, steps, _BLOCK_ROWS, computed):
+            block["t"] = block["times"]
+            block.update((name, np.broadcast_to(v, len(block["t"]))) for name, v in baselines.items())
+            yield [block[name] for name in names]
+
+    return _Rows(("t", *analytic.FluctuationTrace.column_names()[1:], *baselines), blocks)
 
 
 def _sweep_columns(
@@ -448,6 +450,18 @@ def _sweep_columns(
     return {name: data[:, i] for i, name in enumerate(names)}
 
 
+def _figure_rows(traces: dict[float, _Rows], column: str) -> _Rows:
+    """The time column, then ``column`` of the trace at each coupling g as ``{column}_g{g:g}``."""
+    picks = {"t": (next(iter(traces)), "t"), **{f"{column}_g{g:g}": (g, column) for g in traces}}
+
+    def blocks(names):  # one stream per column; every trace has the same grid
+        streams = [traces[g].blocks((name,)) for g, name in map(picks.get, names)]
+        for parts in zip(*streams):
+            yield [part for (part,) in parts]
+
+    return _Rows(tuple(picks), blocks)
+
+
 # Column of a sample export -> the part of the realization it shows.
 _SAMPLE_PARTS = {
     "t": "times",
@@ -478,8 +492,8 @@ def _sample_columns(
 def cmd_trace(args: argparse.Namespace) -> int:
     params = SystemParams(args.omega, args.coupling)
     t_max = _t_max(args, params)
-    columns = _trace_columns(params, BellState(args.state), t_max, args.steps)
-    _emit(args, _array_rows(columns), _metadata(args, "trace", t_max=t_max))
+    rows = _trace_rows(params, BellState(args.state), t_max, args.steps)
+    _emit(args, rows, _metadata(args, "trace", t_max=t_max))
     return 0
 
 
@@ -511,15 +525,14 @@ def cmd_figures(args: argparse.Namespace) -> int:
     else:
         t_max = args.t_max
 
-    # Every file's columns are built, and fig2's realization configured (it is
-    # drawn a block at a time as it is written), before the first file is
-    # written, so a config error leaves no partial result.  Each trace keeps
-    # only the columns that fig3-fig6 plot.
-    traces = {}
-    for g in FIGURE_COUPLINGS:
-        columns = _trace_columns(SystemParams(args.omega, g), state, t_max, args.steps)
-        times = columns["t"]  # the same grid at every coupling
-        traces[g] = {name: columns[name] for name in ("dx1", "dp1", "up1", "up2")}
+    # Every trace is checked, fig1's columns built and fig2's realization
+    # configured before the first file is written, so a config error leaves no
+    # partial result.  The traces and the realization are made a block at a
+    # time as they are written.
+    traces = {
+        g: _trace_rows(SystemParams(args.omega, g), state, t_max, args.steps)
+        for g in FIGURE_COUPLINGS
+    }
     sample_params = SystemParams(args.omega, FIGURE_SAMPLE_COUPLING)
     files = [
         (
@@ -551,14 +564,13 @@ def cmd_figures(args: argparse.Namespace) -> int:
         (5, "up1", "normalized uncertainty product, oscillator 1"),
         (6, "up2", "normalized uncertainty product, oscillator 2"),
     ):
-        columns = {"t": times, **{f"{column}_g{g:g}": traces[g][column] for g in FIGURE_COUPLINGS}}
         entry = {
             "figure": number,
             "quantity": description,
             "state": args.state,
             "couplings": list(FIGURE_COUPLINGS),
         }
-        files.append((f"fig{number}.csv", _array_rows(columns), entry))
+        files.append((f"fig{number}.csv", _figure_rows(traces, column), entry))
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -15,10 +15,12 @@ from bellosc.analytic import (
     FluctuationTrace,
     baseline_nc,
     bell_sign,
+    check_trace,
     normalized_p_fluctuation,
     normalized_x_fluctuation,
     period_statistics,
     trace,
+    trace_blocks,
     uncertainty_product,
     uncertainty_sum,
 )
@@ -257,3 +259,73 @@ class TestTrace:
                 times=np.array([0.0, 2.0, 1.0]), dx1=ones, dx2=ones,
                 dp1=ones, dp2=ones, up1=ones, up2=ones,
             )
+
+
+# Grid ends from the smallest subnormal, where linspace's step underflows to 0,
+# to 1e300, with a few that are not powers of ten.
+GRID_ENDS = [5e-324, 1e-323, 2.5e-323, 1e-320, 2.2250738585072014e-308, 1 / 3, math.pi, 7.0]
+GRID_ENDS += [10.0**k for k in range(-300, 301, 15)]
+GRID_BLOCK = 16384
+
+
+def block_times(t_start, t_end, steps, rows):
+    """The times of trace_blocks' blocks, joined; no other column is computed."""
+    blocks = trace_blocks(SystemParams(1.0, 0.5), PSI_P, t_start, t_end, steps, rows, ())
+    return np.concatenate([block["times"] for block in blocks])
+
+
+class TestBlockGrid:
+    @pytest.mark.parametrize("steps", [2, 3, GRID_BLOCK, GRID_BLOCK + 1, 2 * GRID_BLOCK + 5, 100000])
+    def test_blocks_join_into_linspace_bitwise(self, steps):
+        for t_max in GRID_ENDS:
+            expected = np.linspace(0.0, t_max, steps)
+            assert block_times(0.0, t_max, steps, GRID_BLOCK).tobytes() == expected.tobytes(), t_max
+
+    @pytest.mark.parametrize("t_start, t_end", [(-3.5, 2.0), (1e-300, 1.0), (2.0, 2.0 + 1e-12)])
+    @pytest.mark.parametrize("steps", [2, 7, 1001])
+    def test_matches_linspace_from_any_start(self, t_start, t_end, steps):
+        expected = np.linspace(t_start, t_end, steps).tobytes()
+        assert block_times(t_start, t_end, steps, 3).tobytes() == expected
+
+
+class TestTraceBlocks:
+    @pytest.mark.parametrize("state", [PSI_P, PSI_M])
+    def test_blocks_join_into_trace_bitwise(self, state):
+        params = SystemParams(7.0, 0.8)
+        whole = trace(params, state, 0.0, 30.0, 40)
+        blocks = list(trace_blocks(params, state, 0.0, 30.0, 40, 7))
+        assert [len(b["times"]) for b in blocks] == [7] * 5 + [5]
+        for name in FluctuationTrace.column_names():
+            joined = np.concatenate([b[name] for b in blocks])
+            assert joined.tobytes() == getattr(whole, name).tobytes(), name
+
+    def test_computes_only_the_named_columns(self):
+        [block] = trace_blocks(SystemParams(1.0, 0.5), PSI_P, 0.0, 1.0, 5, 8, ("up2",))
+        assert set(block) == {"times", "up2"}
+
+    @pytest.mark.parametrize(
+        "g, deviation",
+        # the first block of 1000 points passes at g = 1e7, and at g = 1e10
+        # it fails with a smaller deviation (2.910e-11) than a later block
+        [(1e7, "1.364e-12"), (1e10, "4.366e-11")],
+    )
+    def test_check_reports_the_whole_trace_deviation(self, g, deviation):
+        # The products' rounding exceeds the consistency tolerance at these
+        # couplings; the error names the largest deviation over every block.
+        params, steps = SystemParams(1.0, g), 40000
+        with pytest.raises(ValueError) as whole:
+            trace(params, PSI_P, 0.0, 50.0, steps)
+        with pytest.raises(ValueError) as blocked:
+            check_trace(trace_blocks(params, PSI_P, 0.0, 50.0, steps, 1000))
+        assert str(whole.value) == f"up1 deviates from dx1*dp1 by {deviation}"
+        assert str(blocked.value) == str(whole.value)
+
+    def test_check_sees_decrease_across_a_block_boundary(self):
+        ones = np.ones(2)
+        blocks = [
+            {"times": np.array(t), **{n: ones for n in FluctuationTrace.column_names()[1:]}}
+            for t in ([0.0, 1.0], [1.0, 2.0])
+        ]
+        with pytest.raises(ValueError, match="increasing"):
+            check_trace(blocks)
+        check_trace(blocks[:1])

@@ -83,8 +83,11 @@ def test_checker_accepts_sample_csv(steps, tmp_path, capsys):
     assert CHECKS.check_sample_csv(str(path), steps, seed, row_seed=1) == []
 
 
-def test_checker_accepts_trace_json(tmp_path, capsys):
-    path, steps = tmp_path / "trace.json", 500
+@pytest.mark.parametrize(
+    "steps", [500, 2 * cli._BLOCK_ROWS + 5], ids=["one-block", "three-blocks"]
+)
+def test_checker_accepts_trace_json(steps, tmp_path, capsys):
+    path = tmp_path / "trace.json"
     rc = cli.main(["trace", "--steps", str(steps), "--format", "json", "--output", str(path)])
     assert rc == 0
     assert CHECKS.check_trace_json(str(path), steps, row_seed=1) == []

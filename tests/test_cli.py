@@ -258,6 +258,40 @@ def sample_columns(coupling, seed, t_max, steps):
     }
 
 
+def trace_columns(coupling, t_max, steps):
+    """A `trace` file's columns, from analytic.trace's whole arrays and the four baselines."""
+    tr = analytic.trace(SystemParams(1.0, coupling), PSI_P, 0.0, t_max, steps)
+    amp1_nc, up1_nc = analytic.baseline_nc(PSI_P, OscillatorIndex.ONE)
+    up2_nc = analytic.baseline_nc(PSI_P, OscillatorIndex.TWO)[1]
+    baselines = {"dx1_nc": amp1_nc, "dp1_nc": amp1_nc, "up1_nc": up1_nc, "up2_nc": up2_nc}
+    return {
+        "t": tr.times,
+        **{name: getattr(tr, name) for name in ("dx1", "dx2", "dp1", "dp2", "up1", "up2")},
+        **{name: np.full(steps, value) for name, value in baselines.items()},
+    }
+
+
+def assert_figures_match_reference(out_dir, monkeypatch, steps):
+    """`figures` files equal the reference writers on whole-array columns."""
+    written = capture_writers(monkeypatch)
+    code = main(["figures", "--out-dir", str(out_dir), "--steps", str(steps), "--seed", "3"])
+    assert code == 0
+    assert [Path(path).name for path, _, _ in written] == [f"fig{i}.csv" for i in range(1, 7)]
+    t_max = json.loads((out_dir / "index.json").read_text())["t_max"]
+    traces = {g: trace_columns(g, t_max, steps) for g in (0.0, 0.2, 0.8)}
+    plotted = {"fig3.csv": "dx1", "fig4.csv": "dp1", "fig5.csv": "up1", "fig6.csv": "up2"}
+    for path, rows, metadata in written:
+        name = Path(path).name
+        if name == "fig1.csv":
+            columns = array_columns(rows)
+        elif name == "fig2.csv":
+            columns = sample_columns(0.8, 3, t_max, steps)
+        else:
+            column = plotted[name]
+            columns = {"t": traces[0.0]["t"], **{f"{column}_g{g:g}": traces[g][column] for g in traces}}
+        assert_file_matches_reference(path, columns, metadata)
+
+
 def assert_file_matches_reference(path, columns, metadata):
     """The file at ``path`` holds ``columns`` as the per-value reference writers put them."""
     expected = io.StringIO()
@@ -269,23 +303,25 @@ def assert_file_matches_reference(path, columns, metadata):
         assert fh.read().decode("utf-8") == expected.getvalue(), path
 
 
-_MANY_STEPS = str(2 * _BLOCK_ROWS + 5)
-
-
 class TestExportIdentity:
     """Exported files equal the per-value reference writers on the same columns."""
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_multi_block_trace(self, fmt, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("block_rows", [_BLOCK_ROWS, 7])
+    def test_streamed_trace(self, block_rows, fmt, tmp_path, monkeypatch, capsys):
+        # The reference is built from analytic.trace's whole arrays, not from
+        # the stream the writers read.
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
         written = capture_writers(monkeypatch)
-        out_file = tmp_path / f"out.{fmt}"
-        argv = ("trace", "--coupling", "0.3", "--steps", _MANY_STEPS)
+        steps = 2 * block_rows + 5
+        out_file = tmp_path / f"trace.{fmt}"
+        argv = ("trace", "--coupling", "0.3", "--steps", str(steps))
         code, _, err = run(capsys, *argv, "--format", fmt, "--output", str(out_file))
         assert code == 0 and err == ""
         [(path, rows, metadata)] = written
-        columns = array_columns(rows)
-        assert all(len(col) > 2 * _BLOCK_ROWS for col in columns.values())
-        assert_file_matches_reference(path, columns, metadata)
+        assert len(list(rows.blocks(("t",)))) == 3
+        t_max = default_t_max(SystemParams(1.0, 0.3))
+        assert_file_matches_reference(path, trace_columns(0.3, t_max, steps), metadata)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("block_rows", [_BLOCK_ROWS, 7])
@@ -317,17 +353,10 @@ class TestExportIdentity:
         assert_file_matches_reference(path, array_columns(rows), metadata)
 
     def test_figures(self, tmp_path, monkeypatch, capsys):
-        written = capture_writers(monkeypatch)
-        code = main(["figures", "--out-dir", str(tmp_path), "--steps", "64", "--seed", "3"])
-        assert code == 0
-        assert [Path(path).name for path, _, _ in written] == [f"fig{i}.csv" for i in range(1, 7)]
-        t_max = json.loads((tmp_path / "index.json").read_text())["t_max"]
-        for path, rows, metadata in written:
-            if Path(path).name == "fig2.csv":
-                columns = sample_columns(0.8, 3, t_max, 64)
-            else:
-                columns = array_columns(rows)
-            assert_file_matches_reference(path, columns, metadata)
+        assert_figures_match_reference(tmp_path, monkeypatch, 64)
+
+    def test_figures_across_blocks(self, tmp_path, monkeypatch, capsys):
+        assert_figures_match_reference(tmp_path, monkeypatch, 2 * _BLOCK_ROWS + 5)
 
 
 class TestTrace:
@@ -393,9 +422,10 @@ class TestTrace:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_constant_baselines_hold_no_full_column(self, fmt, tmp_path, capsys):
-        # 300 000 rows make 2.4 MB per column.  The seven computed columns and
-        # their temporaries peaked at 23.0 (csv) / 21.7 (json) MB here; the four
-        # constant baselines as full arrays added about 9.6 MB (32.6 / 28.9 MB).
+        # 300 000 rows make 2.4 MB per column.  Whole computed columns peaked at
+        # 23.0 (csv) / 21.7 (json) MB here, and the four constant baselines as
+        # full arrays added about 9.6 MB.  Streamed in blocks of _BLOCK_ROWS
+        # rows, the trace peaks at 7.2 (csv) / 2.1 (json) MB at any --steps.
         path = str(tmp_path / f"trace.{fmt}")
         assert main(["trace", "--steps", "1000", "--format", fmt, "--output", path]) == 0
         tracemalloc.start()
@@ -405,7 +435,33 @@ class TestTrace:
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak < 26e6
+        assert peak < {"csv": 12e6, "json": 4e6}[fmt]
+
+    @pytest.mark.parametrize(
+        "column, message",
+        [("dx1", "column dx1 must be strictly positive"), ("times", "strictly increasing")],
+    )
+    def test_violation_in_last_block_writes_no_file(
+        self, column, message, tmp_path, monkeypatch, capsys
+    ):
+        # The whole trace is checked before the output file is opened.  A
+        # "times" fault is at the first point of the last block, so only the
+        # check across the block boundary can see it.
+        trace_blocks = analytic.trace_blocks
+
+        def faulty(params, state, t_start, t_end, n_points, rows, *names):
+            for block in trace_blocks(params, state, t_start, t_end, n_points, rows, *names):
+                if block["times"][-1] == t_end and column in block:
+                    block[column][0] = 0.0
+                yield block
+
+        monkeypatch.setattr(analytic, "trace_blocks", faulty)
+        out_file = tmp_path / "trace.csv"
+        steps = str(2 * _BLOCK_ROWS + 5)
+        code, out, err = run(capsys, "trace", "--steps", steps, "--output", str(out_file))
+        assert code == 2 and out == ""
+        assert one_error_line(err) and message in err
+        assert not out_file.exists()
 
     def test_bad_steps_is_config_error(self, capsys):
         code, _, err = run(capsys, "trace", "--steps", "1")
