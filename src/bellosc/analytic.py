@@ -41,6 +41,8 @@ __all__ = [
 
 SQRT3 = math.sqrt(3.0)
 
+# Largest accepted |up - dx * dp| / (dx * dp).  Relative, because the products
+# are of size sqrt(eta) + 1/sqrt(eta), and their rounding grows with it.
 PRODUCT_CONSISTENCY_TOL = 1e-12
 
 
@@ -114,7 +116,8 @@ class FluctuationTrace:
     """Fluctuation amplitudes and uncertainty products on a time grid.
 
     All columns are dimensionless; ``up1``/``up2`` must agree with the
-    products of the amplitude columns to within 1e-12.
+    products of the amplitude columns to within 1e-12 of their size, so a
+    large coupling, whose products are large, is held to the same rounding.
     """
 
     times: np.ndarray
@@ -225,7 +228,7 @@ def check_trace(blocks) -> None:
 
     ``blocks`` yields dicts of every column, as ``trace_blocks`` does.  The time
     steps (across block boundaries too), the other columns' values and the
-    products' deviations are reduced a block at a time.
+    products' relative deviations are reduced a block at a time.
     """
     low = dict.fromkeys(FluctuationTrace.column_names(), np.inf)
     dev = {"up1": 0.0, "up2": 0.0}
@@ -237,7 +240,9 @@ def check_trace(blocks) -> None:
             low[name] = np.minimum(low[name], np.min(values, initial=np.inf))
         for up in dev:  # up1 = dx1 * dp1, up2 = dx2 * dp2
             product = cols["dx" + up[-1]] * cols["dp" + up[-1]]
-            dev[up] = np.maximum(dev[up], np.max(np.abs(cols[up] - product)))
+            with np.errstate(divide="ignore", invalid="ignore"):  # a product <= 0 fails below
+                relative = np.abs(cols[up] - product) / np.abs(product)
+            dev[up] = np.maximum(dev[up], np.max(relative))
     for name, value in low.items():
         if not value > 0:  # a nan fails here, as it fails np.all(column > 0)
             if name == "times":
@@ -245,7 +250,9 @@ def check_trace(blocks) -> None:
             raise ValueError(f"column {name} must be strictly positive")
     for up, value in dev.items():
         if value > PRODUCT_CONSISTENCY_TOL:
-            raise ValueError(f"{up} deviates from dx{up[-1]}*dp{up[-1]} by {value:.3e}")
+            raise ValueError(
+                f"{up} deviates from dx{up[-1]}*dp{up[-1]} by {value:.3e} of its size"
+            )
 
 
 def trace(

@@ -9,13 +9,16 @@ normal-mode frequencies omega and eta * omega (``model.mode_frequency``) at
 which the Bell-state ladder operators are built.
 
 Every observable except H is kron(m, 1) or kron(1, m) of a single-oscillator
-matrix m, and :func:`lift` applies it through m alone; only H is held as a
-dense product-space matrix, so np.kron runs only in :func:`coupled_hamiltonian`.
-Each term of H changes n1 + n2 by 0 or 2, so H is diagonalized per parity
-block of n1 + n2.  :func:`solve` builds the factors, H and its eigensystem
-once per ``(params, basis)`` as plain arrays and returns a
-:class:`SolvedSystem`, the one place that checks and freezes them; every
-oracle check reads it.  Each momentum p = i q is held as its real q.
+matrix m, and :func:`lift` applies it through m alone.  H is never formed as
+a dense product-space matrix: each of its terms changes n1 + n2 by 0 or 2 and
+it commutes with the swap |n1, n2> -> |n2, n1>, so :func:`coupled_hamiltonian`
+assembles its four (parity, swap) blocks straight from the L x L factors
+(:meth:`TwoModeBasis.swap_blocks`), and each block is diagonalized on its
+own.  :func:`solve` builds the factors, the blocks and the eigensystem once
+per ``(params, basis)`` as plain arrays and returns a :class:`SolvedSystem`,
+the one place that checks and freezes them; every oracle check reads it.
+The eigenvectors are held in the product basis, the one dense dim x dim
+array.  Each momentum p = i q is held as its real q.
 
 Truncation corrupts only the top Fock levels, so operator identities are
 meaningful on the low-lying subspace where every occupation stays well below
@@ -25,7 +28,7 @@ the cutoff.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,9 +51,9 @@ __all__ = [
 
 HERMITICITY_TOL = 1e-12
 
-# Largest accepted cutoff.  dim = (cutoff + 1)^2, and H and its eigenvectors
-# are the two dense dim x dim arrays: at 40 each holds 1681^2 entries
-# (22.6 MB); at 100 each would be 0.8 GB.
+# Largest accepted cutoff.  dim = (cutoff + 1)^2, and the eigenvectors of H
+# are the one dense dim x dim array: at 40 it holds 1681^2 entries (22.6 MB);
+# at 100 it would be 0.8 GB.
 MAX_CUTOFF = 40
 
 
@@ -89,7 +92,7 @@ class TwoModeBasis:
     |n1, n2> sits at index n1 * (cutoff + 1) + n2.  A cutoff of at least 3 is
     required: quadratic observables on the single-excitation states reach
     occupation 3.  At most MAX_CUTOFF is accepted, which bounds the size of
-    H and its eigenvectors.
+    the eigenvectors of H.
     """
 
     cutoff: int
@@ -107,19 +110,28 @@ class TwoModeBasis:
     def dim(self) -> int:
         return self.levels * self.levels
 
-    def index(self, n1: int, n2: int) -> int:
-        if not (0 <= n1 <= self.cutoff and 0 <= n2 <= self.cutoff):
-            raise ValueError(f"occupations ({n1}, {n2}) outside cutoff {self.cutoff}")
-        return n1 * self.levels + n2
-
     def occupations(self) -> tuple[np.ndarray, np.ndarray]:
         """Arrays (n1, n2) of per-state occupations, aligned with basis indices."""
         n1, n2 = np.divmod(np.arange(self.dim), self.levels)
         return n1, n2
 
-    def parity_sectors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Indices of the basis states with n1 + n2 even, then with n1 + n2 odd."""
-        return tuple(np.flatnonzero(np.add(*self.occupations()) % 2 == p) for p in (0, 1))
+    def swap_blocks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Occupations (a, b) of the states of the four (parity, swap) blocks of H.
+
+        The blocks come in the order (even, +), (even, -), (odd, +), (odd, -):
+        the parity of n1 + n2, then the sign under the swap |a, b> -> |b, a>.
+        A block state is (|a, b> ± |b, a>) / sqrt(2) with a < b, or |a, a> in
+        the (even, +) block, where it follows the pairs a < b; so the (even, -)
+        block's pairs are the first ones of the (even, +) block.  The state's
+        product-basis indices are a * L + b and b * L + a.  At cutoff 12 the
+        block sizes are 49, 36, 42 and 42.
+        """
+        a, b = np.triu_indices(self.levels, 1)
+        even = (a + b) % 2 == 0
+        diagonal = np.arange(self.levels)
+        pairs_even, pairs_odd = (a[even], b[even]), (a[~even], b[~even])
+        with_diagonal = tuple(np.concatenate((n, diagonal)) for n in pairs_even)
+        return with_diagonal, pairs_even, pairs_odd, pairs_odd
 
     def mask_total_at_most(self, total: int) -> np.ndarray:
         """Boolean mask of basis states with n1 + n2 <= total."""
@@ -179,37 +191,48 @@ def normal_mode_quadratures(
     return inv * (x1 + x2), inv * (x1 - x2), inv * (q1 + q2), inv * (q1 - q2)
 
 
-def coupled_hamiltonian(params: SystemParams, basis: TwoModeBasis) -> np.ndarray:
-    """Hamiltonian (p1^2 + p2^2 + w^2 (x1^2 + x2^2) + W^2 (x1 - x2)^2) / 2, real symmetric.
+def coupled_hamiltonian(params: SystemParams, basis: TwoModeBasis) -> tuple[np.ndarray, ...]:
+    """The four (parity, swap) blocks of (p1^2 + p2^2 + w^2 (x1^2 + x2^2) + W^2 (x1 - x2)^2) / 2.
 
-    W = g * w is the coupling strength.  Every square is the truncated
-    single-mode product lifted onto the product space, x1^2 = kron(x @ x, 1)
-    and x1 x2 = kron(x, x), which equals the product of the lifted matrices,
-    and p^2 = (i q)^2 = -q q, with x and q of :func:`bare_quadratures`.  They
-    are tridiagonal, so an entry of x @ x or q @ q sums the same products as
-    its mirror, and H is exactly symmetric.  H is accumulated in place, at most
-    three dim x dim arrays at a time, as ((pp1 + pp2) + w^2 x_sq) + W^2 diff_sq.
-    These Kronecker products are the only np.kron calls of the oracle.
+    W = g * w is the coupling strength.  With x and q of :func:`bare_quadratures`
+    (p^2 = (i q)^2 = -q q) and the single-oscillator A = (-q q + (w^2 + W^2) x x) / 2,
+    the product-basis entries are
+    H(ab, cd) = A[a, c] δ[b, d] + δ[a, c] A[b, d] - W^2 x[a, c] x[b, d],
+    and no dense H is formed.  The entry of a block between its states of pairs
+    (a, b) and (c, d) (see :meth:`TwoModeBasis.swap_blocks`) is
+    2 α_ab α_cd (H(ab, cd) ± H(ab, dc)), with α = 1/sqrt(2) for a != b and
+    1/2 for a = b.  x, x x and q q are exactly symmetric (x is tridiagonal, so
+    an entry of x x or q q sums the same products as its mirror), so a block
+    entry and its mirror add and multiply the same numbers in the same
+    grouping: every block is exactly symmetric, by construction.
     """
     x, q = bare_quadratures(params, basis)
-    xx, pp = x @ x, -(q @ q)
-    eye = np.eye(basis.levels)
-    x_sq = np.kron(xx, eye)
-    x_sq += np.kron(eye, xx)
-    h = np.kron(pp, eye)
-    h += np.kron(eye, pp)
-    diff_sq = np.kron(2.0 * x, x)  # 2 x1 x2, exactly: doubling rounds nothing
-    np.subtract(x_sq, diff_sq, out=diff_sq)
-    x_sq *= params.omega**2
-    h += x_sq
-    diff_sq *= (params.coupling_ratio * params.omega) ** 2
-    h += diff_sq
-    h *= 0.5
-    return h
+    big_sq = (params.coupling_ratio * params.omega) ** 2
+    single = 0.5 * ((params.omega**2 + big_sq) * (x @ x) - q @ q)
+    same = np.equal.outer
+
+    def terms(rows, cols, r2, c2):
+        """A[rows, cols] δ[r2, c2] + δ[rows, cols] A[r2, c2] - W^2 x[rows, cols] x[r2, c2]."""
+        one = single[np.ix_(rows, cols)] * same(r2, c2)
+        one += same(rows, cols) * single[np.ix_(r2, c2)]
+        one -= big_sq * (x[np.ix_(rows, cols)] * x[np.ix_(r2, c2)])
+        return one
+
+    plus_even, minus_even, plus_odd, _ = basis.swap_blocks()
+    blocks = []
+    # the first `pairs` states of a block have a < b; the (even, +) block ends with the |a, a>
+    for (a, b), pairs in ((plus_even, minus_even[0].size), (plus_odd, plus_odd[0].size)):
+        direct, swapped = terms(a, a, b, b), terms(a, b, b, a)  # H(ab, cd) and H(ab, dc)
+        plus = direct + swapped
+        plus[pairs:, :pairs] *= math.sqrt(0.5)
+        plus[:pairs, pairs:] *= math.sqrt(0.5)
+        plus[pairs:, pairs:] *= 0.5
+        blocks += [plus, direct[:pairs, :pairs] - swapped[:pairs, :pairs]]
+    return tuple(blocks)
 
 
 def hamiltonian_eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigensystem of a real-symmetric H or parity block of it (ascending, vectors as columns)."""
+    """Eigensystem of one real-symmetric block of H (ascending, vectors as columns)."""
     try:
         energies, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -225,40 +248,47 @@ class SolvedSystem:
     between threads.  ``x`` and ``q`` are the L x L factors of
     :func:`bare_quadratures` (L = cutoff + 1, p = i q), through which
     :meth:`bare_images` and :meth:`normal_modes` apply every observable.
-    ``h`` is the dense Hamiltonian and ``energies, vectors`` its eigensystem
-    (ascending, eigenvectors as columns); ``ground`` is the lowest
+    ``h_blocks`` holds the four (parity, swap) blocks of H of
+    :func:`coupled_hamiltonian`, and ``energies, vectors`` is the eigensystem
+    of H in the product basis (ascending, eigenvectors as columns, each
+    exactly zero off its parity sector of n1 + n2); ``ground`` is the lowest
     eigenvector.  Construction is the one check of the oracle's arrays: it
     freezes each one and raises ``ValueError``, naming the field, unless every
-    array is float64, x and q are L x L and h is L^2 x L^2, x and h equal their
-    transpose and q minus its transpose, h is zero between the parity sectors,
-    exactly; so every lifted x and i q is Hermitian and H is block-diagonal.
+    array is float64, x and q are L x L, each block has the size of its
+    state list in :meth:`TwoModeBasis.swap_blocks`, and x and each block equal
+    their transpose and q minus its transpose, exactly; so every lifted x and
+    i q is Hermitian, and so is H, which couples no two blocks by construction.
     """
 
     params: SystemParams
     basis: TwoModeBasis
     x: np.ndarray
     q: np.ndarray
-    h: np.ndarray
+    h_blocks: tuple[np.ndarray, ...]
     energies: np.ndarray
     vectors: np.ndarray
     ground: np.ndarray
 
     def __post_init__(self) -> None:
+        blocks = self.basis.swap_blocks()
+        if not isinstance(self.h_blocks, tuple) or len(self.h_blocks) != len(blocks):
+            raise ValueError(f"h_blocks must be a tuple of {len(blocks)} arrays")
         levels = self.basis.levels
-        for field in fields(self)[2:]:  # every field after params and basis is an array
-            name, m = field.name, getattr(self, field.name)
+        # (name, array, side of its square shape, +1 symmetric / -1 antisymmetric)
+        sizes = [a.size for a, _ in blocks]
+        checked = [("x", self.x, levels, 1), ("q", self.q, levels, -1)]
+        checked += [
+            (f"h_blocks[{k}]", h, n, 1) for k, (h, n) in enumerate(zip(self.h_blocks, sizes))
+        ]
+        checked += [(n, getattr(self, n), None, 0) for n in ("energies", "vectors", "ground")]
+        for name, m, side, sign in checked:
             if getattr(m, "dtype", None) != np.float64:
                 raise ValueError(f"{name} must be a real float64 array")
             m.setflags(write=False)
-            side = {"x": levels, "q": levels, "h": self.basis.dim}.get(name)
             if side is not None and m.shape != (side, side):
                 raise ValueError(f"{name} must have shape ({side}, {side}), got {m.shape}")
-            if name in ("x", "h") and not np.array_equal(m.T, m):
-                raise ValueError(f"{name} must be symmetric")
-            if name == "h" and np.any(m[np.ix_(*self.basis.parity_sectors())]):
-                raise ValueError(f"{name} must not couple the parity sectors of n1 + n2")
-            if name == "q" and not np.array_equal(m.T, -m):
-                raise ValueError(f"{name} must be antisymmetric")
+            if sign and not np.array_equal(m.T, sign * m):
+                raise ValueError(f"{name} must be {'symmetric' if sign > 0 else 'antisymmetric'}")
 
     def bare_images(self, v: np.ndarray):
         """Generator of x1 v, x2 v, q1 v and q2 v (see :func:`lift`), each made when asked for."""
@@ -275,18 +305,26 @@ class SolvedSystem:
 
 
 def solve(params: SystemParams, basis: TwoModeBasis) -> SolvedSystem:
-    """Build the factors and H of ``(params, basis)``; diagonalize H once, per parity sector,
-    into the ascending-energy columns of ``vectors``, each exactly zero off its sector's rows."""
+    """Build the factors and the blocks of H of ``(params, basis)``; diagonalize each block once.
+
+    Each block eigenvector is written into its ascending-energy column of
+    ``vectors`` as the product-basis vector it stands for: its entry for the
+    pair (a, b) at rows a * L + b and, times the block's swap sign, b * L + a,
+    both over sqrt(2) unless a = b.  Every other row of the column is exactly zero.
+    """
     x, q = bare_quadratures(params, basis)
-    h = coupled_hamiltonian(params, basis)
-    sectors = basis.parity_sectors()
+    h_blocks = coupled_hamiltonian(params, basis)
     vectors = np.zeros((basis.dim, basis.dim))  # made after the eigensolves, it raised peak RSS
-    parts = [hamiltonian_eigensystem(h[np.ix_(rows, rows)]) for rows in sectors]
+    parts = [hamiltonian_eigensystem(h) for h in h_blocks]
     energies = np.concatenate([e for e, _ in parts])
     columns = np.argsort(np.argsort(energies, kind="stable"))  # ascending-energy column of each
-    for rows, cols, (_, v) in zip(sectors, np.split(columns, [sectors[0].size]), parts):
-        vectors[np.ix_(rows, cols)] = v
-    return SolvedSystem(params, basis, x, q, h, np.sort(energies), vectors, vectors[:, 0])
+    start, levels = 0, basis.levels
+    for (a, b), sign, (e, v) in zip(basis.swap_blocks(), (1.0, -1.0, 1.0, -1.0), parts):
+        cols, start = columns[start : start + e.size], start + e.size
+        v = np.where((a == b)[:, None], v, math.sqrt(0.5) * v)
+        vectors[np.ix_(a * levels + b, cols)] = v
+        vectors[np.ix_(b * levels + a, cols)] = sign * v  # rewrites |a, a> with the same v
+    return SolvedSystem(params, basis, x, q, h_blocks, np.sort(energies), vectors, vectors[:, 0])
 
 
 def bell_vector(system: SolvedSystem, state: BellState) -> np.ndarray:

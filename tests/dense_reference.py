@@ -4,7 +4,9 @@ The oracle never forms these: it applies every operator through the
 single-oscillator factors x and q of a solved system.  Here each bare operator
 is np.kron of a factor with the identity, and each normal-mode operator is
 (first ± second) / sqrt(2) of two dense bare ones.  The commutator check's
-deviations are likewise formed here from dense (c^2 x c^2) kron blocks.
+deviations are likewise formed here from dense (c^2 x c^2) kron blocks, and
+the dense Hamiltonian from five Kronecker products, with its projections onto
+the (parity, swap) blocks that the oracle builds directly.
 """
 
 import numpy as np
@@ -47,3 +49,38 @@ def kron_commutator_deviations(system):
         sym.flat[:: c * c + 1] -= delta
         devs[pair] = float(np.max(np.abs(sym)))
     return devs
+
+
+def dense_hamiltonian(system):
+    """H = (p1^2 + p2^2 + w^2 (x1^2 + x2^2) + W^2 (x1 - x2)^2) / 2 as a dense dim x dim array.
+
+    Every square is the single-mode product lifted by np.kron, x1^2 = kron(x @ x, 1)
+    and x1 x2 = kron(x, x), with p^2 = -q q; accumulated as
+    ((pp1 + pp2) + w^2 x_sq) + W^2 diff_sq, then halved.
+    """
+    params, x, q = system.params, system.x, system.q
+    xx, pp, eye = x @ x, -(q @ q), np.eye(len(x))
+    x_sq = np.kron(xx, eye) + np.kron(eye, xx)
+    h = np.kron(pp, eye) + np.kron(eye, pp)
+    diff_sq = x_sq - np.kron(2.0 * x, x)
+    h += params.omega**2 * x_sq
+    h += (params.coupling_ratio * params.omega) ** 2 * diff_sq
+    return 0.5 * h
+
+
+def block_isometries(basis):
+    """Each (parity, swap) block's states as the columns of a dense (dim, size) array."""
+    out = []
+    for (a, b), sign in zip(basis.swap_blocks(), (1.0, -1.0, 1.0, -1.0)):
+        u = np.zeros((basis.dim, a.size))
+        cols = np.arange(a.size)
+        u[a * basis.levels + b, cols] += np.where(a == b, 0.5, np.sqrt(0.5))
+        u[b * basis.levels + a, cols] += sign * np.where(a == b, 0.5, np.sqrt(0.5))
+        out.append(u)
+    return out
+
+
+def projected_blocks(system):
+    """u^T H u of the dense kron H for each block's isometry u, in block order."""
+    h = dense_hamiltonian(system)
+    return [u.T @ h @ u for u in block_isometries(system.basis)]

@@ -303,22 +303,27 @@ class TestTraceBlocks:
         [block] = trace_blocks(SystemParams(1.0, 0.5), PSI_P, 0.0, 1.0, 5, 8, ("up2",))
         assert set(block) == {"times", "up2"}
 
-    @pytest.mark.parametrize(
-        "g, deviation",
-        # the first block of 1000 points passes at g = 1e7, and at g = 1e10
-        # it fails with a smaller deviation (2.910e-11) than a later block
-        [(1e7, "1.364e-12"), (1e10, "4.366e-11")],
-    )
-    def test_check_reports_the_whole_trace_deviation(self, g, deviation):
-        # The products' rounding exceeds the consistency tolerance at these
-        # couplings; the error names the largest deviation over every block.
+    @pytest.mark.parametrize("g", [1e7, 1e10, 1e150])
+    def test_products_of_a_large_coupling_pass(self, g):
+        # The products are of size sqrt(eta) + 1/sqrt(eta) (3.8e3 at g = 1e7): their
+        # rounding (1.364e-12 at g = 1e7) is about 4e-16 of that size.
         params, steps = SystemParams(1.0, g), 40000
-        with pytest.raises(ValueError) as whole:
-            trace(params, PSI_P, 0.0, 50.0, steps)
+        trace(params, PSI_P, 0.0, 50.0, steps)
+        check_trace(trace_blocks(params, PSI_P, 0.0, 50.0, steps, 1000))
+
+    def test_check_reports_the_whole_trace_deviation(self):
+        # the error names the largest relative deviation over every block, here the third's
+        params, steps = SystemParams(1.0, 1e7), 4000
+        blocks = list(trace_blocks(params, PSI_P, 0.0, 50.0, steps, 1000))
+        for k, scale in ((0, 1.0 + 1e-9), (2, 1.0 + 3e-9)):
+            blocks[k]["up1"] = blocks[k]["up1"] * scale
+        whole = {name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]}
+        with pytest.raises(ValueError) as joined:
+            FluctuationTrace(**whole)
         with pytest.raises(ValueError) as blocked:
-            check_trace(trace_blocks(params, PSI_P, 0.0, 50.0, steps, 1000))
-        assert str(whole.value) == f"up1 deviates from dx1*dp1 by {deviation}"
-        assert str(blocked.value) == str(whole.value)
+            check_trace(blocks)
+        assert str(joined.value) == "up1 deviates from dx1*dp1 by 3.000e-09 of its size"
+        assert str(blocked.value) == str(joined.value)
 
     def test_check_sees_decrease_across_a_block_boundary(self):
         ones = np.ones(2)

@@ -463,6 +463,32 @@ class TestTrace:
         assert one_error_line(err) and message in err
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("steps", ["200", "2000"])
+    def test_large_coupling_passes_at_any_steps(self, steps, capsys):
+        # the products are of size 3.8e3 here; an absolute 1e-12 refused 2000 steps
+        code, out, err = run(capsys, "trace", "--coupling", "1e7", "--steps", steps)
+        assert code == 0 and err == ""
+        assert len(out.splitlines()) == 1 + int(steps)
+
+    def test_tampered_product_column_writes_no_file(self, tmp_path, monkeypatch, capsys):
+        # up1 off by 1e-9 of its size in the last block is still refused at g = 1e7
+        trace_blocks = analytic.trace_blocks
+
+        def tampered(params, state, t_start, t_end, n_points, rows, *names):
+            for block in trace_blocks(params, state, t_start, t_end, n_points, rows, *names):
+                if block["times"][-1] == t_end and "up1" in block:
+                    block["up1"] = block["up1"] * (1.0 + 1e-9)
+                yield block
+
+        monkeypatch.setattr(analytic, "trace_blocks", tampered)
+        out_file = tmp_path / "trace.csv"
+        steps = str(2 * _BLOCK_ROWS + 5)
+        argv = ("trace", "--coupling", "1e7", "--steps", steps, "--output", str(out_file))
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert one_error_line(err) and "up1 deviates from dx1*dp1 by 1.000e-09" in err
+        assert not out_file.exists()
+
     def test_bad_steps_is_config_error(self, capsys):
         code, _, err = run(capsys, "trace", "--steps", "1")
         assert code == 2
@@ -607,7 +633,57 @@ class TestSample:
         assert float(first[2]) == pytest.approx(float(expected), rel=1e-8)
 
 
+_COMMUTATORS = (
+    ("x1,p1", 1), ("x2,p2", 1), ("x1,p2", 0), ("x2,p1", 0),
+    ("X+,P+", 1), ("X-,P-", 1), ("X+,P-", 0), ("X-,P+", 0),
+)
+_TABLE_ENTRIES = (
+    "<X+>", "<X->", "<P+>", "<P->", "<X+^2>", "<X-^2>", "<P+^2>", "<P-^2>",
+    "<X+X->", "<X-X+>", "<X+P+>", "<X-P->", "<P+X+>", "<P-X->", "<P+P->", "<P-P+>",
+)
+
+
+def verify_labels(w, t, canonical):
+    """verify's lines up to each value: the probe at omega w, the evolution at t."""
+    lines = [f"PASS commutator [{pair}] - i*{delta}" for pair, delta in _COMMUTATORS]
+    lines += [f"PASS table[{s}] {e}" for s in ("psi-plus", "psi-minus") for e in _TABLE_ENTRIES]
+    passed = 43 + (canonical == "PASS")
+    return lines + [
+        f"PASS <P+P-> momentum-type form sqrt(eta)*w/2 at w={w}",
+        f"{canonical} evolution[canonical] max dev (n1+n2<=2) at t={t}",
+        "PASS trace-match[psi-plus] max dev, 200 pts",
+        "PASS trace-match[psi-minus] max dev, 200 pts",
+        "INFO negative controls (rejected variants, expected to FAIL):",
+        f"INFO FAIL <P+P-> X-type variant sqrt(eta)/(2w) at w={w}",
+        f"INFO FAIL evolution[non-canonical] max dev (n1+n2<=2) at t={t}",
+        f"verify: {passed}/44 checks passed",
+    ]
+
+
 class TestVerify:
+    @pytest.mark.parametrize(
+        "argv, w, t, canonical, code",
+        [
+            ((), 2, 1, "PASS", 0),
+            (("--coupling", "0.05"), 2, 1, "PASS", 0),
+            (("--coupling", "0.45"), 2, 1, "PASS", 0),
+            (("--coupling", "0"), 2, 1, "PASS", 0),
+            # the known truncation defect of evolution[canonical] (ROADMAP items 3 and 15)
+            (("--coupling", "1.5", "--cutoff", "12"), 2, 1, "FAIL", 1),
+            (("--coupling", "1.5", "--cutoff", "20"), 2, 1, "PASS", 0),
+            (("--omega", "7", "--coupling", "2", "--cutoff", "20"), 14, 0.142857, "FAIL", 1),
+        ],
+        ids=[
+            "default", "g-0.05", "g-0.45", "g-0",
+            "g-1.5-cutoff-12", "g-1.5-cutoff-20", "omega-7-g-2",
+        ],
+    )
+    def test_labels_verdicts_and_exit_code_are_pinned(self, argv, w, t, canonical, code, capsys):
+        got, out, err = run(capsys, "verify", *argv)
+        assert (got, err) == (code, "")
+        labels = [line.split(" analytic=")[0].rstrip() for line in out.splitlines()]
+        assert labels == verify_labels(w, t, canonical)
+
     def test_default_config_passes(self, capsys):
         code, out, _ = run(capsys, "verify")
         assert code == 0

@@ -2,11 +2,19 @@
 
 import dataclasses
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from dense_reference import NAMES, dense_bare, dense_operators
+from dense_reference import (
+    NAMES,
+    block_isometries,
+    dense_bare,
+    dense_hamiltonian,
+    dense_operators,
+    projected_blocks,
+)
 
 from bellosc import fock
 from bellosc.fock import (
@@ -20,9 +28,18 @@ from bellosc.fock import (
 )
 from bellosc.model import BellState, ModeIndex, SystemParams, eta, mode_frequency
 
-ARRAY_FIELDS = ("x", "q", "h", "energies", "vectors", "ground")
-SYMMETRIC_FIELDS = ("x", "h")
+ARRAY_FIELDS = ("x", "q", "energies", "vectors", "ground")
 ANTISYMMETRIC_FIELDS = ("q",)
+
+
+def symmetric_arrays(system):
+    """(name, array) of x and of each block of H, every array SolvedSystem holds symmetric."""
+    return [("x", system.x)] + [(f"h_blocks[{k}]", h) for k, h in enumerate(system.h_blocks)]
+
+
+def state_index(basis, n1, n2):
+    """Product-basis index of |n1, n2>, n2 the fast index."""
+    return n1 * basis.levels + n2
 
 
 def bare_ladders(params, basis):
@@ -92,7 +109,7 @@ class TestBareLadders:
         basis = TwoModeBasis(3)
         low, raise_, _, _ = bare_ladders(SystemParams(1.0, 0.0), basis)
         vec = np.zeros(basis.dim, dtype=complex)
-        vec[basis.index(1, 0)] = 1.0
+        vec[state_index(basis, 1, 0)] = 1.0
         assert np.vdot(vec, raise_ @ low @ vec) == pytest.approx(1.0)
         assert np.array_equal(low.conj().T, raise_)
 
@@ -100,8 +117,8 @@ class TestBareLadders:
         # At w = 2 the rebuild is exact: x and p / w carry a factor 1/2, and sqrt(w/2) = 1.
         basis = TwoModeBasis(3)
         low1, _, low2, _ = bare_ladders(SystemParams(2.0, 0.0), basis)
-        for low, excited in ((low1, basis.index(1, 0)), (low2, basis.index(0, 1))):
-            pair = [basis.index(0, 0), excited]
+        for low, excited in ((low1, state_index(basis, 1, 0)), (low2, state_index(basis, 0, 1))):
+            pair = [state_index(basis, 0, 0), excited]
             assert np.array_equal(low[np.ix_(pair, pair)], [[0.0, 1.0], [0.0, 0.0]])
         single = np.diag(np.sqrt(np.arange(1.0, basis.levels)), k=1)
         assert np.array_equal(low1, np.kron(single, np.eye(basis.levels)))
@@ -126,7 +143,7 @@ class TestBareQuadratures:
         basis = TwoModeBasis(6)
         x1, _, _, _ = dense_bare(*bare_quadratures(SystemParams(w, 0.0), basis))
         x1_sq = x1 @ x1
-        ground, excited = basis.index(0, 0), basis.index(1, 0)
+        ground, excited = state_index(basis, 0, 0), state_index(basis, 1, 0)
         assert x1_sq[ground, ground] == pytest.approx(1.0 / (2 * w), abs=1e-14)
         assert x1_sq[excited, excited] == pytest.approx(3.0 / (2 * w), abs=1e-14)
 
@@ -170,7 +187,7 @@ class TestBasisFrequency:
     def test_bare_quadratures_are_built_at_it(self):
         params, basis = SystemParams(1.0, 1.5), TwoModeBasis(4)
         x1, _, _, _ = dense_bare(*bare_quadratures(params, basis))
-        ground = basis.index(0, 0)
+        ground = state_index(basis, 0, 0)
         expected = 1.0 / (2.0 * basis_frequency(params))
         assert (x1 @ x1)[ground, ground] == pytest.approx(expected, rel=1e-14)
 
@@ -183,39 +200,18 @@ class TestTwoModeBasis:
     def test_dimension_and_ordering(self):
         basis = TwoModeBasis(3)
         assert basis.dim == 16
-        assert basis.index(0, 1) == 1  # n2 is the fast index
-        assert basis.index(1, 0) == 4
-
-    def test_index_bounds(self):
-        with pytest.raises(ValueError):
-            TwoModeBasis(3).index(4, 0)
+        n1, n2 = basis.occupations()
+        assert (n1[1], n2[1]) == (0, 1)  # n2 is the fast index
+        assert (n1[4], n2[4]) == (1, 0)
 
     def test_masks(self):
         basis = TwoModeBasis(3)
         low = basis.mask_total_at_most(1)
-        assert sorted(np.flatnonzero(low)) == [basis.index(0, 0), basis.index(0, 1), basis.index(1, 0)]
-
-    @pytest.mark.parametrize("cutoff", [3, 4, 12])
-    def test_parity_sectors_split_the_basis_by_the_parity_of_n1_plus_n2(self, cutoff):
-        basis = TwoModeBasis(cutoff)
-        even, odd = basis.parity_sectors()
-        n1, n2 = basis.occupations()
-        assert np.array_equal(np.sort(np.concatenate([even, odd])), np.arange(basis.dim))
-        assert np.all((n1 + n2)[even] % 2 == 0) and np.all((n1 + n2)[odd] % 2 == 1)
-        assert (even.size, odd.size) == (math.ceil(basis.dim / 2), basis.dim // 2)
-
-
-def _couple_parity_sectors(system):
-    """A copy of h with a symmetric 1e-3 entry between |0,0> (even) and |1,0> (odd)."""
-    out = system.h.copy()
-    i, j = system.basis.index(0, 0), system.basis.index(1, 0)
-    out[i, j] += 1e-3
-    out[j, i] += 1e-3
-    return out
+        assert sorted(np.flatnonzero(low)) == [0, 1, 4]  # |0,0>, |0,1>, |1,0>
 
 
 def _nudge_off_diagonal(h):
-    """A copy of h with its first nonzero off-diagonal entry (0, j) moved by one ulp."""
+    """A copy of symmetric h with its first nonzero off-diagonal entry (0, j) moved by one ulp."""
     out = h.copy()
     j = 1 + np.flatnonzero(out[0, 1:])[0]
     out[0, j] = np.nextafter(out[0, j], np.inf)
@@ -233,17 +229,18 @@ EXACT_STRUCTURE_SETTINGS = [
 class TestSolvedSystem:
     def test_arrays_are_read_only(self):
         system = solve(SystemParams(1.0, 0.5), TwoModeBasis(4))
-        for name in ARRAY_FIELDS:
+        for array in [getattr(system, name) for name in ARRAY_FIELDS] + list(system.h_blocks):
             with pytest.raises(ValueError):
-                getattr(system, name)[0] = 1.0
+                array[0] = 1.0
 
     @pytest.mark.parametrize("cutoff", [6, 12, 20])
     @pytest.mark.parametrize("g", [0.0, 0.5, 1.5])
     @pytest.mark.parametrize("omega", [1e-150, 0.3, 1.0, 7.0, 1e150])
     def test_arrays_have_the_stated_structure(self, omega, g, cutoff):
         system = solve(SystemParams(omega, g), TwoModeBasis(cutoff))
-        for name in ARRAY_FIELDS:
-            array = getattr(system, name)
+        arrays = [(name, getattr(system, name)) for name in ARRAY_FIELDS]
+        arrays += symmetric_arrays(system)
+        for name, array in arrays:
             assert array.dtype == np.float64, name
             assert not array.flags.writeable, name
         assert np.array_equal(system.q.T, -system.q)
@@ -263,16 +260,13 @@ class TestSolvedSystem:
             pytest.param("x", lambda s: s.x + 1e-3 * s.q, id="x-not-symmetric"),
             # one entry one ulp off its mirror
             pytest.param("x", lambda s: _nudge_off_diagonal(s.x), id="x-one-ulp"),
-            ("h", lambda s: _nudge_off_diagonal(s.h)),
-            # still symmetric, but no longer block-diagonal in the parity of n1 + n2
-            pytest.param("h", _couple_parity_sectors, id="h-couples-parity-sectors"),
             # symmetric or antisymmetric, but not L x L for the basis
             pytest.param("x", lambda s: np.pad(s.x, (0, 1)), id="x-one-level-too-many"),
             pytest.param("q", lambda s: s.q[:-1, :-1], id="q-one-level-too-few"),
             pytest.param("x", lambda s: s.x.ravel(), id="x-flattened"),
-            # symmetric, but not L^2 x L^2: checked before its parity blocks are indexed
-            pytest.param("h", lambda s: s.h[:-1, :-1], id="h-wrong-shape"),
-            pytest.param("h", lambda s: np.pad(s.h, (0, 1)), id="h-one-state-too-many"),
+            # not the four blocks of H
+            pytest.param("h_blocks", lambda s: s.h_blocks[:3], id="h-three-blocks"),
+            pytest.param("h_blocks", lambda s: list(s.h_blocks), id="h-blocks-in-a-list"),
         ],
     )
     def test_rejects_a_system_without_the_structure(self, field, tamper):
@@ -280,21 +274,40 @@ class TestSolvedSystem:
         with pytest.raises(ValueError, match=f"^{field} must"):
             dataclasses.replace(system, **{field: tamper(system)})
 
+    @pytest.mark.parametrize(
+        "block, tamper",
+        [
+            pytest.param(0, _nudge_off_diagonal, id="one-ulp"),  # one entry one ulp off its mirror
+            pytest.param(1, lambda h: h + np.triu(np.full_like(h, 1e-3)), id="not-symmetric"),
+            pytest.param(2, lambda h: h.astype(np.float32), id="float32"),
+            pytest.param(3, lambda h: h + 0j, id="complex"),
+            # symmetric, but not the size of the block's state list
+            pytest.param(1, lambda h: h[:-1, :-1], id="one-state-too-few"),
+            pytest.param(2, lambda h: np.pad(h, (0, 1)), id="one-state-too-many"),
+            pytest.param(0, np.ravel, id="flattened"),
+        ],
+    )
+    def test_rejects_a_tampered_block(self, block, tamper):
+        system = solve(SystemParams(1.0, 0.5), TwoModeBasis(6))
+        blocks = list(system.h_blocks)
+        blocks[block] = tamper(blocks[block])
+        with pytest.raises(ValueError, match=f"^h_blocks\\[{block}\\] must"):
+            dataclasses.replace(system, h_blocks=tuple(blocks))
+
     @pytest.mark.parametrize("omega, g, cutoff", EXACT_STRUCTURE_SETTINGS)
     def test_solve_arrays_are_exactly_symmetric_or_antisymmetric(self, omega, g, cutoff):
         # the check in SolvedSystem is exact, so solve must meet it at every setting
         system = solve(SystemParams(omega, g), TwoModeBasis(cutoff))
-        for name in SYMMETRIC_FIELDS:
-            array = getattr(system, name)
+        for name, array in symmetric_arrays(system):
             assert np.array_equal(array.T, array), name
         for name in ANTISYMMETRIC_FIELDS:
             array = getattr(system, name)
             assert np.array_equal(array.T, -array), name
 
     def test_hamiltonian_is_real_symmetric(self):
-        h = solve(SystemParams(1.0, 0.8), TwoModeBasis(6)).h
-        assert h.dtype == np.float64
-        assert np.array_equal(h, h.T)
+        for h in solve(SystemParams(1.0, 0.8), TwoModeBasis(6)).h_blocks:
+            assert h.dtype == np.float64
+            assert np.array_equal(h, h.T)
 
     def test_normal_modes_pair_quadratures_with_model_frequencies(self):
         params = SystemParams(2.0, 0.8)
@@ -307,7 +320,7 @@ class TestSolvedSystem:
 
     def test_ground_state_is_lowest_eigenvector(self):
         system = solve(SystemParams(1.0, 0.8), TwoModeBasis(8))
-        h, gs = system.h, system.ground
+        h, gs = dense_hamiltonian(system), system.ground
         assert np.max(np.abs(h @ gs - system.energies[0] * gs)) < 1e-12
 
 
@@ -317,6 +330,69 @@ SECTOR_SETTINGS = [
     for omega in (1e-150, 0.3, 1.0, 7.0, 1e150)
     for g in (0.0, 0.5, 1.5)
 ]
+
+
+def block_sizes(cutoff):
+    """Sizes of the (even, +), (even, -), (odd, +) and (odd, -) blocks, counted from the pairs."""
+    levels = cutoff + 1
+    evens, odds = (levels + 1) // 2, levels // 2
+    same_parity = evens * (evens - 1) // 2 + odds * (odds - 1) // 2  # pairs a < b, a + b even
+    mixed = evens * odds
+    return same_parity + levels, same_parity, mixed, mixed
+
+
+class TestSwapBlocks:
+    @pytest.mark.parametrize("cutoff", [3, 4, 12, 40])
+    def test_block_states_are_an_orthonormal_basis(self, cutoff):
+        basis = TwoModeBasis(cutoff)
+        blocks = basis.swap_blocks()
+        assert tuple(a.size for a, _ in blocks) == block_sizes(cutoff)
+        parity = [(a + b) % 2 for a, b in blocks]
+        assert [set(p) for p in parity] == [{0}, {0}, {1}, {1}]
+        for a, b in blocks:
+            assert np.all(a <= b)
+        assert np.all(blocks[1][0] < blocks[1][1]) and np.all(blocks[3][0] < blocks[3][1])
+        if cutoff <= 12:
+            u = np.hstack(block_isometries(basis))
+            assert np.allclose(u.T @ u, np.eye(basis.dim), rtol=0.0, atol=1e-15)
+
+    def test_sizes_at_cutoff_12(self):
+        assert tuple(a.size for a, _ in TwoModeBasis(12).swap_blocks()) == (49, 36, 42, 42)
+
+    @pytest.mark.parametrize("omega, g, cutoff", SECTOR_SETTINGS)
+    def test_each_block_is_the_projection_of_the_dense_h(self, omega, g, cutoff):
+        system = solve(SystemParams(omega, g), TwoModeBasis(cutoff))
+        for k, (block, reference) in enumerate(zip(system.h_blocks, projected_blocks(system))):
+            scale = np.max(np.abs(reference))
+            assert np.max(np.abs(block - reference)) <= 1e-12 * scale, k
+
+    @pytest.mark.parametrize("omega, g, cutoff", SECTOR_SETTINGS)
+    def test_every_eigenvector_is_even_or_odd_under_the_swap(self, omega, g, cutoff):
+        # a block eigenvector's column is its swap sign times itself with n1 and n2
+        # swapped, exactly
+        system = solve(SystemParams(omega, g), TwoModeBasis(cutoff))
+        n1, n2 = system.basis.occupations()
+        vectors = system.vectors
+        swapped = vectors[n2 * system.basis.levels + n1]
+        even = np.all(swapped == vectors, axis=0)
+        odd = np.all(swapped == -vectors, axis=0)
+        assert np.all(even | odd)
+        sizes = block_sizes(system.basis.cutoff)
+        assert np.count_nonzero(even & ~odd) == sizes[0] + sizes[2]
+
+    def test_assembly_forms_no_dense_h(self):
+        # at cutoff 40 a dense H would take 22.6 MB; the four blocks take 5.7 MB, and
+        # their assembly peaks at about 12 MB
+        basis = TwoModeBasis(40)
+        params = SystemParams(1.0, 0.5)
+        tracemalloc.start()
+        try:
+            blocks = fock.coupled_hamiltonian(params, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(h.nbytes for h in blocks) == 8 * sum(n * n for n in block_sizes(40))
+        assert peak < basis.dim**2 * 8
 
 
 class TestParitySectors:
@@ -331,19 +407,20 @@ class TestParitySectors:
         monkeypatch.setattr(fock, "hamiltonian_eigensystem", recording_eigensystem)
         basis = TwoModeBasis(cutoff)
         solve(SystemParams(1.0, 0.5), basis)
-        even, odd = math.ceil(basis.dim / 2), basis.dim // 2
-        assert blocks == [(even, even), (odd, odd)]
+        assert blocks == [(n, n) for n in block_sizes(cutoff)]
+        assert sum(n for n, _ in blocks) == basis.dim
 
     @pytest.mark.parametrize("omega, g, cutoff", SECTOR_SETTINGS)
     def test_sector_eigensystem_agrees_with_the_whole_h(self, omega, g, cutoff):
         system = solve(SystemParams(omega, g), TwoModeBasis(cutoff))
-        h, energies, vectors = system.h, system.energies, system.vectors
+        h, energies, vectors = dense_hamiltonian(system), system.energies, system.vectors
         whole = np.linalg.eigh(h)[0]
         assert np.max(np.abs(energies - whole)) <= 1e-12 * np.max(np.abs(whole))
         rebuilt = (vectors * energies) @ vectors.T
         assert np.max(np.abs(rebuilt - h)) <= 1e-12 * np.max(np.abs(h))
         # every eigenvector lies in one sector: exactly zero on the other one's rows
-        even, odd = system.basis.parity_sectors()
+        total = np.add(*system.basis.occupations())
+        even, odd = np.flatnonzero(total % 2 == 0), np.flatnonzero(total % 2 == 1)
         in_even = ~np.any(vectors[odd], axis=0)
         assert np.array_equal(in_even, np.any(vectors[even], axis=0))
         assert np.count_nonzero(in_even) == even.size and in_even[0]  # the ground state is even
@@ -387,13 +464,16 @@ class TestFactorForm:
                 scale = np.max(np.abs(dense))
                 assert np.max(np.abs(images[name] - dense)) <= 1e-14 * scale, (kind, name)
 
-    def test_holds_no_dense_operator_but_h_and_vectors(self):
-        # x and q are L x L; ground is a column of vectors, so it costs nothing of its own
+    def test_holds_no_dense_operator_but_vectors(self):
+        # x and q are L x L, H is four blocks; ground is a column of vectors, so it costs
+        # nothing of its own
         system = solve(SystemParams(1.0, 0.5), TwoModeBasis(24))
         dim, levels = system.basis.dim, system.basis.levels
-        owners = {id(root): root for root in (_root(getattr(system, n)) for n in ARRAY_FIELDS)}
+        arrays = [getattr(system, n) for n in ARRAY_FIELDS] + list(system.h_blocks)
+        owners = {id(root): root for root in map(_root, arrays)}
         held = sum(array.nbytes for array in owners.values())
-        assert held <= (2 * dim**2 + dim + 2 * levels**2) * 8
+        blocks = sum(n * n for n in block_sizes(24))
+        assert held <= (dim**2 + blocks + dim + 2 * levels**2) * 8
 
 
 class TestCoupledHamiltonian:
@@ -409,12 +489,16 @@ class TestCoupledHamiltonian:
 
     @pytest.mark.parametrize("g", [0.0, 0.5, 1.2])
     def test_two_assemblies_agree_entrywise(self, g):
+        # the blocks against the projections of the shifted form; the kron reference likewise
         system = solve(SystemParams(1.0, g), TwoModeBasis(6))
-        assert np.max(np.abs(system.h - shifted_form_hamiltonian(system))) < 1e-12
+        shifted = shifted_form_hamiltonian(system)
+        assert np.max(np.abs(dense_hamiltonian(system) - shifted)) < 1e-12
+        for block, u in zip(system.h_blocks, block_isometries(system.basis)):
+            assert np.max(np.abs(block - u.T @ shifted @ u)) < 1e-12
 
     def test_eigendecomposition_round_trip(self):
         system = solve(SystemParams(1.0, 0.8), TwoModeBasis(10))
-        h, energies, vectors = system.h, system.energies, system.vectors
+        h, energies, vectors = dense_hamiltonian(system), system.energies, system.vectors
         rebuilt = (vectors * energies) @ vectors.conj().T
         assert np.max(np.abs(rebuilt - h)) < 1e-10 * np.max(np.abs(h))
 
@@ -448,7 +532,7 @@ class TestNormalModeLadders:
         params = SystemParams(1.0, 0.8)
         basis = TwoModeBasis(12)
         system = solve(params, basis)
-        h = system.h
+        h = dense_hamiltonian(system)
         _, ap_dag, _, am_dag = normal_mode_ladders(system)
         mask = basis.mask_total_at_most(2)
         idx = np.ix_(mask, mask)
@@ -484,15 +568,15 @@ class TestBellVector:
         system = solve(SystemParams(1.0, 0.0), basis)
         plus = bell_vector(system, BellState.PSI_PLUS)
         minus = bell_vector(system, BellState.PSI_MINUS)
-        assert abs(plus[basis.index(1, 0)]) == pytest.approx(1.0, abs=1e-12)
-        assert abs(minus[basis.index(0, 1)]) == pytest.approx(1.0, abs=1e-12)
+        assert abs(plus[state_index(basis, 1, 0)]) == pytest.approx(1.0, abs=1e-12)
+        assert abs(minus[state_index(basis, 0, 1)]) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("g", [0.0, 0.5, 0.8])
     def test_excitation_energy_is_mean_mode_quantum(self, g):
         params = SystemParams(1.0, g)
         system = solve(params, TwoModeBasis(12))
         vec = bell_vector(system, BellState.PSI_PLUS)
-        excitation = np.vdot(vec, system.h @ vec).real - system.energies[0]
+        excitation = np.vdot(vec, dense_hamiltonian(system) @ vec).real - system.energies[0]
         assert excitation == pytest.approx((1.0 + eta(params)) / 2.0, abs=1e-8)
 
     def test_signals_unconverged_basis(self):
