@@ -505,8 +505,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    if args.steps < 2:
-        raise ValueError(f"sample needs steps >= 2, got {args.steps}")
     params = SystemParams(args.omega, args.coupling)
     t_max = _t_max(args, params)
     osc = OscillatorIndex(args.oscillator)
@@ -516,8 +514,6 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
-    if args.steps < 2:
-        raise ValueError(f"figures need steps >= 2, got {args.steps}")
     state = BellState(args.state)
     if args.t_max is None:  # one full period of the slowest oscillating curve
         slowest = SystemParams(args.omega, min(g for g in FIGURE_COUPLINGS if g > 0))
@@ -787,6 +783,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parser.parse_args(_attach_negative_values(argv))
+        if args.steps < 2:  # every grid has both ends; sweep takes the default
+            raise ValueError(f"--steps must be >= 2, got {args.steps}")
         return globals()[args.handler](args)
     except BrokenPipeError:
         return _pipe_closed()

@@ -133,6 +133,12 @@ class TwoModeBasis:
         with_diagonal = tuple(np.concatenate((n, diagonal)) for n in pairs_even)
         return with_diagonal, pairs_even, pairs_odd, pairs_odd
 
+    def swap_block_sizes(self) -> tuple[int, int, int, int]:
+        """Sizes of the four blocks of :meth:`swap_blocks`, counted without building them."""
+        evens, odds = (self.levels + 1) // 2, self.levels // 2
+        same = evens * (evens - 1) // 2 + odds * (odds - 1) // 2  # pairs a < b, a + b even
+        return same + self.levels, same, evens * odds, evens * odds
+
     def mask_total_at_most(self, total: int) -> np.ndarray:
         """Boolean mask of basis states with n1 + n2 <= total."""
         n1, n2 = self.occupations()
@@ -191,10 +197,17 @@ def normal_mode_quadratures(
     return inv * (x1 + x2), inv * (x1 - x2), inv * (q1 + q2), inv * (q1 - q2)
 
 
-def coupled_hamiltonian(params: SystemParams, basis: TwoModeBasis) -> tuple[np.ndarray, ...]:
+def coupled_hamiltonian(
+    params: SystemParams,
+    x: np.ndarray,
+    q: np.ndarray,
+    states: tuple[tuple[np.ndarray, np.ndarray], ...],
+) -> tuple[np.ndarray, ...]:
     """The four (parity, swap) blocks of (p1^2 + p2^2 + w^2 (x1^2 + x2^2) + W^2 (x1 - x2)^2) / 2.
 
-    W = g * w is the coupling strength.  With x and q of :func:`bare_quadratures`
+    x and q are the factors of :func:`bare_quadratures` and ``states`` the
+    block states of :meth:`TwoModeBasis.swap_blocks`, as :func:`solve` makes
+    them once.  W = g * w is the coupling strength.  With x and q
     (p^2 = (i q)^2 = -q q) and the single-oscillator A = (-q q + (w^2 + W^2) x x) / 2,
     the product-basis entries are
     H(ab, cd) = A[a, c] δ[b, d] + δ[a, c] A[b, d] - W^2 x[a, c] x[b, d],
@@ -206,7 +219,6 @@ def coupled_hamiltonian(params: SystemParams, basis: TwoModeBasis) -> tuple[np.n
     entry and its mirror add and multiply the same numbers in the same
     grouping: every block is exactly symmetric, by construction.
     """
-    x, q = bare_quadratures(params, basis)
     big_sq = (params.coupling_ratio * params.omega) ** 2
     single = 0.5 * ((params.omega**2 + big_sq) * (x @ x) - q @ q)
     same = np.equal.outer
@@ -218,7 +230,7 @@ def coupled_hamiltonian(params: SystemParams, basis: TwoModeBasis) -> tuple[np.n
         one -= big_sq * (x[np.ix_(rows, cols)] * x[np.ix_(r2, c2)])
         return one
 
-    plus_even, minus_even, plus_odd, _ = basis.swap_blocks()
+    plus_even, minus_even, plus_odd, _ = states
     blocks = []
     # the first `pairs` states of a block have a < b; the (even, +) block ends with the |a, a>
     for (a, b), pairs in ((plus_even, minus_even[0].size), (plus_odd, plus_odd[0].size)):
@@ -255,7 +267,7 @@ class SolvedSystem:
     eigenvector.  Construction is the one check of the oracle's arrays: it
     freezes each one and raises ``ValueError``, naming the field, unless every
     array is float64, x and q are L x L, each block has the size of its
-    state list in :meth:`TwoModeBasis.swap_blocks`, and x and each block equal
+    state list (:meth:`TwoModeBasis.swap_block_sizes`), and x and each block equal
     their transpose and q minus its transpose, exactly; so every lifted x and
     i q is Hermitian, and so is H, which couples no two blocks by construction.
     """
@@ -270,12 +282,11 @@ class SolvedSystem:
     ground: np.ndarray
 
     def __post_init__(self) -> None:
-        blocks = self.basis.swap_blocks()
-        if not isinstance(self.h_blocks, tuple) or len(self.h_blocks) != len(blocks):
-            raise ValueError(f"h_blocks must be a tuple of {len(blocks)} arrays")
+        sizes = self.basis.swap_block_sizes()
+        if not isinstance(self.h_blocks, tuple) or len(self.h_blocks) != len(sizes):
+            raise ValueError(f"h_blocks must be a tuple of {len(sizes)} arrays")
         levels = self.basis.levels
         # (name, array, side of its square shape, +1 symmetric / -1 antisymmetric)
-        sizes = [a.size for a, _ in blocks]
         checked = [("x", self.x, levels, 1), ("q", self.q, levels, -1)]
         checked += [
             (f"h_blocks[{k}]", h, n, 1) for k, (h, n) in enumerate(zip(self.h_blocks, sizes))
@@ -313,13 +324,14 @@ def solve(params: SystemParams, basis: TwoModeBasis) -> SolvedSystem:
     both over sqrt(2) unless a = b.  Every other row of the column is exactly zero.
     """
     x, q = bare_quadratures(params, basis)
-    h_blocks = coupled_hamiltonian(params, basis)
+    states = basis.swap_blocks()
+    h_blocks = coupled_hamiltonian(params, x, q, states)
     vectors = np.zeros((basis.dim, basis.dim))  # made after the eigensolves, it raised peak RSS
     parts = [hamiltonian_eigensystem(h) for h in h_blocks]
     energies = np.concatenate([e for e, _ in parts])
     columns = np.argsort(np.argsort(energies, kind="stable"))  # ascending-energy column of each
     start, levels = 0, basis.levels
-    for (a, b), sign, (e, v) in zip(basis.swap_blocks(), (1.0, -1.0, 1.0, -1.0), parts):
+    for (a, b), sign, (e, v) in zip(states, (1.0, -1.0, 1.0, -1.0), parts):
         cols, start = columns[start : start + e.size], start + e.size
         v = np.where((a == b)[:, None], v, math.sqrt(0.5) * v)
         vectors[np.ix_(a * levels + b, cols)] = v

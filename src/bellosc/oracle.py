@@ -193,6 +193,21 @@ def _real_times(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (a @ np.ascontiguousarray(z).view(np.float64)).view(np.complex128)
 
 
+def _re_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re <a_t|b_t> for each column t of two complex blocks, with no conjugate copy.
+
+    One real product over the float views, whose columns alternate re and im:
+    re * re + im * im summed over the rows.
+    """
+    s = np.einsum("it,it->t", a.view(np.float64), b.view(np.float64))
+    return s[0::2] + s[1::2]
+
+
+def _minus_im_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """-Im <a_t|b_t> for each column t: a_im * b_re - a_re * b_im summed over the rows."""
+    return np.einsum("it,it->t", a.imag, b.real) - np.einsum("it,it->t", a.real, b.imag)
+
+
 def _evolve(energies: np.ndarray, vectors: np.ndarray, coeffs: np.ndarray, times) -> np.ndarray:
     """exp(-i H t) applied to states given by their coefficients (rows) on eigenvectors of H."""
     arg = np.multiply.outer(energies, times)
@@ -251,11 +266,14 @@ def evolve_expectations(
     |psi(t)> = exp(-i H t) |psi>, computed through the eigenvectors of H on
     which |psi> has a nonzero coefficient (for an entangled state, those of the
     odd parity sector), EVOLVE_TIME_BLOCK times at a time so that memory is
-    O(dim x block).  First moments are <psi(t)|A|psi(t)> and second moments
-    ||A psi(t)||^2.  Every operator acts through its real single-oscillator
+    O(dim x block).  Every operator acts through its real single-oscillator
     factor on the float view of the complex states: the system holds each
     momentum p = i q as its real q, with ||p psi|| = ||q psi|| and
-    <p> = -Im <psi|q|psi>.  The returned columns are the standard deviations of
+    <p> = -Im <psi|q|psi>.  The moments are real dot products over the rows
+    of the float views of psi(t) and of each image A psi(t), with no conjugate
+    copy and no complex product: ||A psi||^2 sums re^2 + im^2,
+    <x> = Re <psi|x|psi> sums psi_re (x psi)_re + psi_im (x psi)_im, and <p>
+    sums psi_im (q psi)_re - psi_re (q psi)_im.  The returned columns are the standard deviations of
     the bare coordinates and momenta on the evolved state, divided by the
     single-oscillator ground-state values; none of the closed-form amplitude
     results enter.  Times at which a phase E * t overflows are rejected.
@@ -274,20 +292,20 @@ def evolve_expectations(
     kept = np.flatnonzero(coeffs)  # a zero coefficient adds exactly nothing to |psi(t)>
     energies, vectors, coeffs = system.energies[kept], system.vectors[:, kept], coeffs[kept]
     w = system.params.omega
-    # for x1, x2, q1, q2: (part of <psi|op|psi> that is <A>, normalization); A = op or i op
+    # for x1, x2, q1, q2: (<A> from psi and op psi, normalization); A = op or i op
     observables = (
-        (np.real, 2.0 * w),
-        (np.real, 2.0 * w),
-        (lambda z: -z.imag, 2.0 / w),
-        (lambda z: -z.imag, 2.0 / w),
+        (_re_inner, 2.0 * w),
+        (_re_inner, 2.0 * w),
+        (_minus_im_inner, 2.0 / w),
+        (_minus_im_inner, 2.0 / w),
     )
     dx1, dx2, dp1, dp2 = stds = [np.empty(times.size) for _ in observables]
     for start in range(0, times.size, EVOLVE_TIME_BLOCK):
         block = slice(start, start + EVOLVE_TIME_BLOCK)
         evolved = _evolve(energies, vectors, coeffs[:, None], times[block])  # (dim, block size)
-        for out, image, (mean_part, norm_sq) in zip(stds, system.bare_images(evolved), observables):
-            first = mean_part(np.einsum("it,it->t", evolved.conj(), image))
-            second = np.einsum("it,it->t", image.conj(), image).real
+        for out, image, (mean, norm_sq) in zip(stds, system.bare_images(evolved), observables):
+            first = mean(evolved, image)
+            second = _re_inner(image, image)
             out[block] = np.sqrt(np.maximum(second - first**2, 0.0) * norm_sq)
     return FluctuationTrace(
         times=times,

@@ -1088,6 +1088,18 @@ class TestExitCodes:
             main(["--help"])
         assert exc.value.code == 0
 
+    @pytest.mark.parametrize("steps", ["1", "0", "-1"])
+    @pytest.mark.parametrize("command", ["trace", "verify", "sample", "figures"])
+    def test_steps_below_two_is_one_line_naming_the_option(self, tmp_path, capsys, command, steps):
+        target = tmp_path / "out"
+        where = {"verify": (), "figures": ("--out-dir", str(target))}
+        code, out, err = run(
+            capsys, command, "--steps", steps, *where.get(command, ("--output", str(target)))
+        )
+        assert code == 2 and out == ""
+        assert one_error_line(err) and f"--steps must be >= 2, got {steps}" in err
+        assert not target.exists()
+
     def test_figures_single_step_is_config_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "figures", "--steps", "1", "--out-dir", str(tmp_path))
         assert code == 2

@@ -347,6 +347,7 @@ class TestSwapBlocks:
         basis = TwoModeBasis(cutoff)
         blocks = basis.swap_blocks()
         assert tuple(a.size for a, _ in blocks) == block_sizes(cutoff)
+        assert basis.swap_block_sizes() == block_sizes(cutoff)
         parity = [(a + b) % 2 for a, b in blocks]
         assert [set(p) for p in parity] == [{0}, {0}, {1}, {1}]
         for a, b in blocks:
@@ -387,7 +388,9 @@ class TestSwapBlocks:
         params = SystemParams(1.0, 0.5)
         tracemalloc.start()
         try:
-            blocks = fock.coupled_hamiltonian(params, basis)
+            blocks = fock.coupled_hamiltonian(
+                params, *bare_quadratures(params, basis), basis.swap_blocks()
+            )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -409,6 +412,26 @@ class TestParitySectors:
         solve(SystemParams(1.0, 0.5), basis)
         assert blocks == [(n, n) for n in block_sizes(cutoff)]
         assert sum(n for n, _ in blocks) == basis.dim
+
+    def test_solve_builds_the_block_states_and_the_factors_once(self, monkeypatch):
+        calls = {}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            TwoModeBasis, "swap_blocks", counted("swap_blocks", TwoModeBasis.swap_blocks)
+        )
+        for name in ("bare_quadratures", "coupled_hamiltonian"):
+            monkeypatch.setattr(fock, name, counted(name, getattr(fock, name)))
+        system = solve(SystemParams(1.0, 0.5), TwoModeBasis(12))
+        assert calls == {"swap_blocks": 1, "bare_quadratures": 1, "coupled_hamiltonian": 1}
+        dataclasses.replace(system)  # checking a built system makes no block states
+        assert calls["swap_blocks"] == 1
 
     @pytest.mark.parametrize("omega, g, cutoff", SECTOR_SETTINGS)
     def test_sector_eigensystem_agrees_with_the_whole_h(self, omega, g, cutoff):

@@ -271,11 +271,13 @@ class TestEvolveExpectations:
             assert np.max(np.abs(getattr(evolved, col) - getattr(closed, col))) < 1e-6
 
     @pytest.mark.parametrize("state, mixed", [(PSI_P, False), (PSI_M, False), (PSI_M, True)])
-    def test_matches_dense_complex_evolution(self, monkeypatch, state, mixed):
+    @pytest.mark.parametrize("omega, cutoff", [(2.0, 12), (1e-150, 6), (1e150, 20)])
+    def test_matches_dense_complex_evolution(self, monkeypatch, omega, cutoff, state, mixed):
         # the oracle multiplies real operators into the float view of the
-        # states; complex products with the complex momenta p = i q must agree
-        params = SystemParams(omega=2.0, coupling_ratio=0.8)
-        system = solve(params, TwoModeBasis(12))
+        # states and reduces the moments as real dot products; complex products
+        # with the complex momenta p = i q must agree, in every unit of omega
+        params = SystemParams(omega=omega, coupling_ratio=0.8)
+        system = solve(params, TwoModeBasis(cutoff))
         times = np.linspace(0.0, 2 * math.pi / abs(beat_frequency(params)), 50)
         if mixed:
             # <x> and <p> vanish on the entangled states; on (|g> + i|psi>) / sqrt(2)
