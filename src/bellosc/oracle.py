@@ -273,10 +273,11 @@ def evolve_expectations(
     of the float views of psi(t) and of each image A psi(t), with no conjugate
     copy and no complex product: ||A psi||^2 sums re^2 + im^2,
     <x> = Re <psi|x|psi> sums psi_re (x psi)_re + psi_im (x psi)_im, and <p>
-    sums psi_im (q psi)_re - psi_re (q psi)_im.  The returned columns are the standard deviations of
-    the bare coordinates and momenta on the evolved state, divided by the
-    single-oscillator ground-state values; none of the closed-form amplitude
-    results enter.  Times at which a phase E * t overflows are rejected.
+    sums psi_im (q psi)_re - psi_re (q psi)_im.  The returned columns are the
+    standard deviations of the bare coordinates and momenta on the evolved
+    state, divided by the single-oscillator ground-state values; none of the
+    closed-form amplitude results enter.  Times at which a phase E * t
+    overflows are rejected.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1:

@@ -489,11 +489,6 @@ class TestTrace:
         assert one_error_line(err) and "up1 deviates from dx1*dp1 by 1.000e-09" in err
         assert not out_file.exists()
 
-    def test_bad_steps_is_config_error(self, capsys):
-        code, _, err = run(capsys, "trace", "--steps", "1")
-        assert code == 2
-        assert "error" in err
-
     def test_steps_above_grid_guard_is_config_error(self, capsys):
         code, _, err = run(capsys, "trace", "--steps", "100000000")
         assert code == 2
@@ -1099,11 +1094,6 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert one_error_line(err) and f"--steps must be >= 2, got {steps}" in err
         assert not target.exists()
-
-    def test_figures_single_step_is_config_error(self, tmp_path, capsys):
-        code, _, err = run(capsys, "figures", "--steps", "1", "--out-dir", str(tmp_path))
-        assert code == 2
-        assert "steps" in err
 
     def test_negative_omega_is_config_error(self, capsys):
         code, _, err = run(capsys, "trace", "--omega", "-1")
