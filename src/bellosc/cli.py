@@ -599,7 +599,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"{basis.dim} x {args.steps} amplitudes, over the {MAX_GRID_POINTS:.0e} guard"
         )
     # The probe solves its own system; running it first keeps one alive at a time.
-    accepted, rejected = oracle.cross_momentum_scaling_probe(params, basis, tol)
+    try:
+        accepted, rejected = oracle.cross_momentum_scaling_probe(params, basis, tol)
+    except ValueError as exc:
+        probe = "the momentum-scaling probe's second solve at 2 * omega"
+        raise ValueError(f"--omega {args.omega:g} is too large for {probe}: {exc}") from exc
     system = fock.solve(params, basis)
 
     checks: list[oracle.OracleReport] = []

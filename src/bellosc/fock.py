@@ -14,11 +14,13 @@ a dense product-space matrix: each of its terms changes n1 + n2 by 0 or 2 and
 it commutes with the swap |n1, n2> -> |n2, n1>, so :func:`coupled_hamiltonian`
 assembles its four (parity, swap) blocks straight from the L x L factors
 (:meth:`TwoModeBasis.swap_blocks`), and each block is diagonalized on its
-own.  :func:`solve` builds the factors, the blocks and the eigensystem once
-per ``(params, basis)`` as plain arrays and returns a :class:`SolvedSystem`,
-the one place that checks and freezes them; every oracle check reads it.
-The eigenvectors are held in the product basis, the one dense dim x dim
-array.  Each momentum p = i q is held as its real q.
+own.  :func:`solve` builds the factors, the blocks and their eigensystems
+once per ``(params, basis)`` as plain arrays and returns a
+:class:`SolvedSystem`, the one place that checks and freezes them; every
+oracle check reads it.  The eigensystem stays in the blocks, in block
+coordinates, and :meth:`SolvedSystem.evolve` applies exp(-i H t) through it,
+so no held array has dim x dim entries.  Each momentum p = i q is held as
+its real q.
 
 Truncation corrupts only the top Fock levels, so operator identities are
 meaningful on the low-lying subspace where every occupation stays well below
@@ -51,9 +53,9 @@ __all__ = [
 
 HERMITICITY_TOL = 1e-12
 
-# Largest accepted cutoff.  dim = (cutoff + 1)^2, and the eigenvectors of H
-# are the one dense dim x dim array: at 40 it holds 1681^2 entries (22.6 MB);
-# at 100 it would be 0.8 GB.
+# Largest accepted cutoff.  dim = (cutoff + 1)^2, and the largest held array
+# is one (parity, swap) block of H or of its eigenvectors, about dim / 4 on a
+# side: 441^2 entries (1.6 MB) at 40.  The four block eigensolves cost ~1/16 of a dense one.
 MAX_CUTOFF = 40
 
 
@@ -91,8 +93,8 @@ class TwoModeBasis:
     Basis states are ordered lexicographically with n2 fastest, i.e. the state
     |n1, n2> sits at index n1 * (cutoff + 1) + n2.  A cutoff of at least 3 is
     required: quadratic observables on the single-excitation states reach
-    occupation 3.  At most MAX_CUTOFF is accepted, which bounds the size of
-    the eigenvectors of H.
+    occupation 3.  At most MAX_CUTOFF is accepted, which bounds the blocks of
+    H and their eigensolves.
     """
 
     cutoff: int
@@ -132,12 +134,6 @@ class TwoModeBasis:
         pairs_even, pairs_odd = (a[even], b[even]), (a[~even], b[~even])
         with_diagonal = tuple(np.concatenate((n, diagonal)) for n in pairs_even)
         return with_diagonal, pairs_even, pairs_odd, pairs_odd
-
-    def swap_block_sizes(self) -> tuple[int, int, int, int]:
-        """Sizes of the four blocks of :meth:`swap_blocks`, counted without building them."""
-        evens, odds = (self.levels + 1) // 2, self.levels // 2
-        same = evens * (evens - 1) // 2 + odds * (odds - 1) // 2  # pairs a < b, a + b even
-        return same + self.levels, same, evens * odds, evens * odds
 
     def mask_total_at_most(self, total: int) -> np.ndarray:
         """Boolean mask of basis states with n1 + n2 <= total."""
@@ -252,52 +248,73 @@ def hamiltonian_eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return energies, vectors
 
 
+def _embeddings(states, levels: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Per block of ``states``: the product-basis rows a * L + b and mirrors b * L + a,
+    and their weights as (n, 1) columns, 1/sqrt(2) and ±1/sqrt(2) (the block's
+    swap sign), or 1/2 on each for a = b, whose two rows coincide."""
+    tables = []
+    for (a, b), sign in zip(states, (1.0, -1.0, 1.0, -1.0)):
+        weights = np.where(a == b, 0.5, math.sqrt(0.5))[:, None]
+        tables.append((a * levels + b, b * levels + a, weights, sign * weights))
+    return tuple(tables)
+
+
+def _add_block(out: np.ndarray, table, columns: np.ndarray) -> None:
+    """Add a block's columns (block coordinates) into the product-basis ``out`` in place."""
+    rows, mirrors, weights, mirror_weights = table
+    out[rows] += weights * columns
+    out[mirrors] += mirror_weights * columns
+
+
 @dataclass(frozen=True, eq=False)
 class SolvedSystem:
     """The oracle arrays of one ``(params, basis)``, built once by :func:`solve`.
 
-    Every array is real float64 and read-only, so a system can be shared
-    between threads.  ``x`` and ``q`` are the L x L factors of
-    :func:`bare_quadratures` (L = cutoff + 1, p = i q), through which
-    :meth:`bare_images` and :meth:`normal_modes` apply every observable.
-    ``h_blocks`` holds the four (parity, swap) blocks of H of
-    :func:`coupled_hamiltonian`, and ``energies, vectors`` is the eigensystem
-    of H in the product basis (ascending, eigenvectors as columns, each
-    exactly zero off its parity sector of n1 + n2); ``ground`` is the lowest
-    eigenvector.  Construction is the one check of the oracle's arrays: it
-    freezes each one and raises ``ValueError``, naming the field, unless every
-    array is float64, x and q are L x L, each block has the size of its
-    state list (:meth:`TwoModeBasis.swap_block_sizes`), and x and each block equal
-    their transpose and q minus its transpose, exactly; so every lifted x and
-    i q is Hermitian, and so is H, which couples no two blocks by construction.
+    Every array is read-only, so a system can be shared between threads.
+    ``x`` and ``q`` are the L x L factors of :func:`bare_quadratures`
+    (L = cutoff + 1, p = i q), through which :meth:`bare_images` and
+    :meth:`normal_modes` apply every observable.  Each tuple holds one entry per
+    (parity, swap) block, in :meth:`TwoModeBasis.swap_blocks` order: its index
+    tables (:func:`_embeddings`), its block of H (:func:`coupled_hamiltonian`)
+    and its eigensystem in block coordinates (ascending, vectors as columns).
+    ``ground`` is the lowest eigenvector, in the product basis.  Construction
+    is the one check of the oracle's arrays: it freezes each one and raises
+    ``ValueError``, naming the field, unless each tuple has 4 blocks, every
+    float array is float64 of its shape (a block's side is its tables' length),
+    and x and each block of H equal their transpose and q minus its transpose,
+    exactly; so every lifted x and i q is Hermitian, and so is H.
     """
 
     params: SystemParams
     basis: TwoModeBasis
     x: np.ndarray
     q: np.ndarray
+    embeddings: tuple[tuple[np.ndarray, ...], ...]
     h_blocks: tuple[np.ndarray, ...]
-    energies: np.ndarray
-    vectors: np.ndarray
+    energies: tuple[np.ndarray, ...]
+    vectors: tuple[np.ndarray, ...]
     ground: np.ndarray
 
     def __post_init__(self) -> None:
-        sizes = self.basis.swap_block_sizes()
-        if not isinstance(self.h_blocks, tuple) or len(self.h_blocks) != len(sizes):
-            raise ValueError(f"h_blocks must be a tuple of {len(sizes)} arrays")
-        levels = self.basis.levels
-        # (name, array, side of its square shape, +1 symmetric / -1 antisymmetric)
-        checked = [("x", self.x, levels, 1), ("q", self.q, levels, -1)]
-        checked += [
-            (f"h_blocks[{k}]", h, n, 1) for k, (h, n) in enumerate(zip(self.h_blocks, sizes))
-        ]
-        checked += [(n, getattr(self, n), None, 0) for n in ("energies", "vectors", "ground")]
-        for name, m, side, sign in checked:
+        for name in ("embeddings", "h_blocks", "energies", "vectors"):
+            if not isinstance(getattr(self, name), tuple) or len(getattr(self, name)) != 4:
+                raise ValueError(f"{name} must be a tuple of 4 blocks")
+        for m in (m for table in self.embeddings for m in table):
+            m.setflags(write=False)
+        levels, dim = self.basis.levels, self.basis.dim
+        # (name, array, shape, +1 symmetric / -1 antisymmetric / 0 neither)
+        checked = [("x", self.x, (levels, levels), 1), ("q", self.q, (levels, levels), -1)]
+        checked.append(("ground", self.ground, (dim,), 0))
+        for k, n in enumerate(rows.size for rows, *_ in self.embeddings):
+            checked += [(f"h_blocks[{k}]", self.h_blocks[k], (n, n), 1)]
+            checked += [(f"energies[{k}]", self.energies[k], (n,), 0)]
+            checked += [(f"vectors[{k}]", self.vectors[k], (n, n), 0)]
+        for name, m, shape, sign in checked:
             if getattr(m, "dtype", None) != np.float64:
                 raise ValueError(f"{name} must be a real float64 array")
             m.setflags(write=False)
-            if side is not None and m.shape != (side, side):
-                raise ValueError(f"{name} must have shape ({side}, {side}), got {m.shape}")
+            if m.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {m.shape}")
             if sign and not np.array_equal(m.T, sign * m):
                 raise ValueError(f"{name} must be {'symmetric' if sign > 0 else 'antisymmetric'}")
 
@@ -314,29 +331,48 @@ class SolvedSystem:
         wp, wm = (mode_frequency(self.params, mode) for mode in (ModeIndex.PLUS, ModeIndex.MINUS))
         return (xp, qp, wp), (xm, qm, wm)
 
+    def evolve(self, v: np.ndarray, times) -> np.ndarray:
+        """exp(-i H t) v in the product basis, as complex columns (dim, m).
+
+        v is a state (dim,) or states (dim, k) whose columns broadcast against
+        the 1-d times: one state at m times, or k states at one time.  v is
+        projected onto each block through its index tables, phased on the
+        block's eigenvectors by cos(E t) - i sin(E t) (bitwise exp(-i E t)) and
+        added into the output in place; each matrix product is real, over float views.
+        A block on which v has no component is skipped: it adds exactly nothing.
+        """
+        v = v.reshape(self.basis.dim, -1)
+        out = np.zeros((self.basis.dim, max(v.shape[1], np.size(times))), dtype=np.complex128)
+        for table, energies, vectors in zip(self.embeddings, self.energies, self.vectors):
+            rows, mirrors, weights, mirror_weights = table
+            part = weights * v[rows] + mirror_weights * v[mirrors]
+            if not part.any():
+                continue
+            arg = np.multiply.outer(energies, times)
+            phases = np.empty(arg.shape, dtype=np.complex128)  # no complex exp
+            np.cos(arg, out=phases.real)
+            np.sin(arg, out=phases.imag)
+            np.negative(phases.imag, out=phases.imag)
+            coeffs = (vectors.T @ part) * phases
+            _add_block(out, table, (vectors @ coeffs.view(np.float64)).view(np.complex128))
+        return out
+
 
 def solve(params: SystemParams, basis: TwoModeBasis) -> SolvedSystem:
     """Build the factors and the blocks of H of ``(params, basis)``; diagonalize each block once.
 
-    Each block eigenvector is written into its ascending-energy column of
-    ``vectors`` as the product-basis vector it stands for: its entry for the
-    pair (a, b) at rows a * L + b and, times the block's swap sign, b * L + a,
-    both over sqrt(2) unless a = b.  Every other row of the column is exactly zero.
+    The ground state is the lowest block eigenvector, carried to the product
+    basis through its block's index tables: exactly zero off its block's rows.
     """
     x, q = bare_quadratures(params, basis)
     states = basis.swap_blocks()
     h_blocks = coupled_hamiltonian(params, x, q, states)
-    vectors = np.zeros((basis.dim, basis.dim))  # made after the eigensolves, it raised peak RSS
-    parts = [hamiltonian_eigensystem(h) for h in h_blocks]
-    energies = np.concatenate([e for e, _ in parts])
-    columns = np.argsort(np.argsort(energies, kind="stable"))  # ascending-energy column of each
-    start, levels = 0, basis.levels
-    for (a, b), sign, (e, v) in zip(states, (1.0, -1.0, 1.0, -1.0), parts):
-        cols, start = columns[start : start + e.size], start + e.size
-        v = np.where((a == b)[:, None], v, math.sqrt(0.5) * v)
-        vectors[np.ix_(a * levels + b, cols)] = v
-        vectors[np.ix_(b * levels + a, cols)] = sign * v  # rewrites |a, a> with the same v
-    return SolvedSystem(params, basis, x, q, h_blocks, np.sort(energies), vectors, vectors[:, 0])
+    energies, vectors = zip(*[hamiltonian_eigensystem(h) for h in h_blocks])
+    embeddings = _embeddings(states, basis.levels)
+    lowest = int(np.argmin([e[0] for e in energies]))
+    ground = np.zeros(basis.dim)
+    _add_block(ground[:, None], embeddings[lowest], vectors[lowest][:, :1])
+    return SolvedSystem(params, basis, x, q, embeddings, h_blocks, energies, vectors, ground)
 
 
 def bell_vector(system: SolvedSystem, state: BellState) -> np.ndarray:
@@ -358,6 +394,6 @@ def bell_vector(system: SolvedSystem, state: BellState) -> np.ndarray:
     norm = float(np.linalg.norm(raw))
     if abs(norm - 1.0) > 1e-3:
         raise ConvergenceError(
-            f"entangled-state norm {norm:.9f} deviates from 1; increase the cutoff"
+            f"entangled-state norm {norm:.9g} deviates from 1; increase the cutoff"
         )
     return raw / norm

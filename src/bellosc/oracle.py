@@ -1,8 +1,9 @@
 """First-principles numerical verification of every closed-form result.
 
 Reads states and observables from one :class:`bellosc.fock.SolvedSystem`,
-evolves them through the exact eigendecomposition of the coupled Hamiltonian,
-and compares against the closed-form matrix elements and amplitude formulas.
+evolves them with :meth:`~bellosc.fock.SolvedSystem.evolve`, through the exact
+block eigendecomposition of the coupled Hamiltonian, and compares against the
+closed-form matrix elements and amplitude formulas.
 Each comparison is returned as an :class:`OracleReport`; failures are
 reported, never thrown.
 
@@ -188,36 +189,6 @@ def commutator_check(system: SolvedSystem) -> list[OracleReport]:
     return reports
 
 
-def _real_times(a: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """a @ z for a real matrix a and a complex block z, as one real product over z's float view."""
-    return (a @ np.ascontiguousarray(z).view(np.float64)).view(np.complex128)
-
-
-def _re_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re <a_t|b_t> for each column t of two complex blocks, with no conjugate copy.
-
-    One real product over the float views, whose columns alternate re and im:
-    re * re + im * im summed over the rows.
-    """
-    s = np.einsum("it,it->t", a.view(np.float64), b.view(np.float64))
-    return s[0::2] + s[1::2]
-
-
-def _minus_im_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """-Im <a_t|b_t> for each column t: a_im * b_re - a_re * b_im summed over the rows."""
-    return np.einsum("it,it->t", a.imag, b.real) - np.einsum("it,it->t", a.real, b.imag)
-
-
-def _evolve(energies: np.ndarray, vectors: np.ndarray, coeffs: np.ndarray, times) -> np.ndarray:
-    """exp(-i H t) applied to states given by their coefficients (rows) on eigenvectors of H."""
-    arg = np.multiply.outer(energies, times)
-    phases = np.empty(arg.shape, dtype=np.complex128)  # cos(E t) - i sin(E t), no complex exp
-    np.cos(arg, out=phases.real)
-    np.sin(arg, out=phases.imag)
-    np.negative(phases.imag, out=phases.imag)
-    return _real_times(vectors, phases * coeffs)
-
-
 def heisenberg_evolution_check(
     system: SolvedSystem, t: float, tol: float
 ) -> tuple[OracleReport, OracleReport]:
@@ -229,14 +200,14 @@ def heisenberg_evolution_check(
     Hamilton's equations, and serves as a negative control.  Each U^dag Y U
     is formed once; the coordinate deviation enters both reports.  Deviations
     are measured entrywise on basis states with total occupation <= 2, so
-    only those columns of U(t) are formed: in the eigenbasis U(t) is the
-    elementwise phase exp(-i E t), and <m| U^dag Y U |n> = (U|m>)^dag Y (U|n>).
+    only those columns U(t)|n> are formed (:meth:`SolvedSystem.evolve`), and
+    <m| U^dag Y U |n> = (U|m>)^dag Y (U|n>).
     Returns (accepted, rejected) reports; the rejected one is expected to fail.
     """
     mask = system.basis.mask_total_at_most(2)
     # the unit columns |n> of the masked n; the laws' blocks <m|Y|n> are rows of their images
     units = np.equal.outer(np.arange(system.basis.dim), np.flatnonzero(mask)).astype(float)
-    u_cols = _evolve(system.energies, system.vectors, system.vectors[mask].T, (t,))  # U(t)|n>
+    u_cols = system.evolve(units, (t,))  # U(t)|n>
     u_dag = u_cols.conj().T
     x_dev, dev = 0.0, {"canonical": 0.0, "non-canonical": 0.0}
     for (xu, qu, w), (xn, qn, _) in zip(system.normal_modes(u_cols), system.normal_modes(units)):
@@ -263,21 +234,16 @@ def evolve_expectations(
 ) -> FluctuationTrace:
     """Schrodinger-evolve the entangled state and collect normalized std devs.
 
-    |psi(t)> = exp(-i H t) |psi>, computed through the eigenvectors of H on
-    which |psi> has a nonzero coefficient (for an entangled state, those of the
-    odd parity sector), EVOLVE_TIME_BLOCK times at a time so that memory is
-    O(dim x block).  Every operator acts through its real single-oscillator
-    factor on the float view of the complex states: the system holds each
-    momentum p = i q as its real q, with ||p psi|| = ||q psi|| and
-    <p> = -Im <psi|q|psi>.  The moments are real dot products over the rows
-    of the float views of psi(t) and of each image A psi(t), with no conjugate
-    copy and no complex product: ||A psi||^2 sums re^2 + im^2,
-    <x> = Re <psi|x|psi> sums psi_re (x psi)_re + psi_im (x psi)_im, and <p>
-    sums psi_im (q psi)_re - psi_re (q psi)_im.  The returned columns are the
-    standard deviations of the bare coordinates and momenta on the evolved
-    state, divided by the single-oscillator ground-state values; none of the
-    closed-form amplitude results enter.  Times at which a phase E * t
-    overflows are rejected.
+    |psi(t)> = exp(-i H t) |psi> comes from :meth:`SolvedSystem.evolve`,
+    EVOLVE_TIME_BLOCK times at a time so that memory is O(dim x block).  An
+    entangled state lies in the two odd-parity blocks, so psi(t) is exactly
+    zero on the rows with n1 + n2 even, and each image x psi(t) and q psi(t)
+    (p = i q) on the others: every first moment is exactly 0, and a variance
+    is the image's squared norm, one real dot product over its float view
+    (re^2 + im^2 summed over the rows).  The returned columns are the
+    standard deviations of the bare coordinates and momenta, divided by the
+    single-oscillator ground-state values; no closed form enters.  Times at
+    which a phase E * t overflows are rejected.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1:
@@ -285,29 +251,21 @@ def evolve_expectations(
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
     # max|E| * max|t| is the largest phase; as Python floats it overflows without a warning
-    if not math.isfinite(float(np.max(np.abs(system.energies))) * float(np.max(np.abs(times)))):
+    top = max(float(np.max(np.abs(e))) for e in system.energies)
+    if not math.isfinite(top * float(np.max(np.abs(times)))):
         raise ValueError("times overflow the phases E * t: max|E| * max|t| is not finite")
 
     psi0 = fock.bell_vector(system, state)
-    coeffs = system.vectors.T @ psi0  # the eigenvectors are real
-    kept = np.flatnonzero(coeffs)  # a zero coefficient adds exactly nothing to |psi(t)>
-    energies, vectors, coeffs = system.energies[kept], system.vectors[:, kept], coeffs[kept]
     w = system.params.omega
-    # for x1, x2, q1, q2: (<A> from psi and op psi, normalization); A = op or i op
-    observables = (
-        (_re_inner, 2.0 * w),
-        (_re_inner, 2.0 * w),
-        (_minus_im_inner, 2.0 / w),
-        (_minus_im_inner, 2.0 / w),
-    )
-    dx1, dx2, dp1, dp2 = stds = [np.empty(times.size) for _ in observables]
+    norms_sq = (2.0 * w, 2.0 * w, 2.0 / w, 2.0 / w)  # of x1, x2, q1, q2
+    dx1, dx2, dp1, dp2 = stds = [np.empty(times.size) for _ in norms_sq]
     for start in range(0, times.size, EVOLVE_TIME_BLOCK):
         block = slice(start, start + EVOLVE_TIME_BLOCK)
-        evolved = _evolve(energies, vectors, coeffs[:, None], times[block])  # (dim, block size)
-        for out, image, (mean, norm_sq) in zip(stds, system.bare_images(evolved), observables):
-            first = mean(evolved, image)
-            second = _re_inner(image, image)
-            out[block] = np.sqrt(np.maximum(second - first**2, 0.0) * norm_sq)
+        evolved = system.evolve(psi0, times[block])  # (dim, block size)
+        for out, image, norm_sq in zip(stds, system.bare_images(evolved), norms_sq):
+            flat = image.view(np.float64)  # columns alternate re and im
+            squares = np.einsum("it,it->t", flat, flat)
+            out[block] = np.sqrt((squares[0::2] + squares[1::2]) * norm_sq)
     return FluctuationTrace(
         times=times,
         dx1=dx1,

@@ -6,7 +6,8 @@ is np.kron of a factor with the identity, and each normal-mode operator is
 (first ± second) / sqrt(2) of two dense bare ones.  The commutator check's
 deviations are likewise formed here from dense (c^2 x c^2) kron blocks, and
 the dense Hamiltonian from five Kronecker products, with its projections onto
-the (parity, swap) blocks that the oracle builds directly.
+the (parity, swap) blocks that the oracle builds directly, and the block
+eigensystem carried to the product basis.
 """
 
 import numpy as np
@@ -84,3 +85,16 @@ def projected_blocks(system):
     """u^T H u of the dense kron H for each block's isometry u, in block order."""
     h = dense_hamiltonian(system)
     return [u.T @ h @ u for u in block_isometries(system.basis)]
+
+
+def dense_eigensystem(system):
+    """Ascending energies and the dim x dim eigenvectors (columns) of a system's blocks.
+
+    Each block's eigenvectors are carried to the product basis through its
+    isometry; a stable sort keeps equal energies in block order.
+    """
+    energies = np.concatenate(system.energies)
+    isometries = block_isometries(system.basis)
+    vectors = np.hstack([u @ v for u, v in zip(isometries, system.vectors)])
+    order = np.argsort(energies, kind="stable")
+    return energies[order], vectors[:, order]

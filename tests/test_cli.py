@@ -1139,8 +1139,18 @@ class TestExitCodes:
             (("verify", "--omega", "1e10", "--coupling", "1e150"), "coupling_ratio * omega"),
             (("verify", "--omega", "1e-200"), "omega 1e-200"),
             (("trace", "--omega", "1e300", "--coupling", "1e10"), "omega 1e+300"),
+            (
+                ("verify", "--omega", "1e154"),
+                "--omega 1e+154 is too large for the momentum-scaling probe's second solve at "
+                "2 * omega: omega 2e+154 is too large: omega^2 overflows",
+            ),
         ],
-        ids=["verify-coupling-times-omega-overflows", "verify-tiny-omega", "trace-huge-omega"],
+        ids=[
+            "verify-coupling-times-omega-overflows",
+            "verify-tiny-omega",
+            "trace-huge-omega",
+            "verify-probe-at-doubled-omega",
+        ],
     )
     def test_out_of_range_frequencies_are_config_errors(self, argv, named, capsys):
         code, out, err = run(capsys, *argv)

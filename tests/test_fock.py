@@ -11,6 +11,7 @@ from dense_reference import (
     NAMES,
     block_isometries,
     dense_bare,
+    dense_eigensystem,
     dense_hamiltonian,
     dense_operators,
     projected_blocks,
@@ -28,13 +29,32 @@ from bellosc.fock import (
 )
 from bellosc.model import BellState, ModeIndex, SystemParams, eta, mode_frequency
 
-ARRAY_FIELDS = ("x", "q", "energies", "vectors", "ground")
 ANTISYMMETRIC_FIELDS = ("q",)
 
 
 def symmetric_arrays(system):
     """(name, array) of x and of each block of H, every array SolvedSystem holds symmetric."""
     return [("x", system.x)] + [(f"h_blocks[{k}]", h) for k, h in enumerate(system.h_blocks)]
+
+
+def float_arrays(system):
+    """(name, array) of every float array a system holds: x, q, ground and each block's."""
+    arrays = [(name, getattr(system, name)) for name in ("x", "q", "ground")]
+    for name in ("h_blocks", "energies", "vectors"):
+        arrays += [(f"{name}[{k}]", m) for k, m in enumerate(getattr(system, name))]
+    return arrays
+
+
+def reachable_arrays(system):
+    """Every array a system holds, through its fields and the tuples in them."""
+    found, stack = [], [getattr(system, f.name) for f in dataclasses.fields(system)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, np.ndarray):
+            found.append(item)
+        elif isinstance(item, tuple):
+            stack.extend(item)
+    return found
 
 
 def state_index(basis, n1, n2):
@@ -229,7 +249,7 @@ EXACT_STRUCTURE_SETTINGS = [
 class TestSolvedSystem:
     def test_arrays_are_read_only(self):
         system = solve(SystemParams(1.0, 0.5), TwoModeBasis(4))
-        for array in [getattr(system, name) for name in ARRAY_FIELDS] + list(system.h_blocks):
+        for array in reachable_arrays(system):
             with pytest.raises(ValueError):
                 array[0] = 1.0
 
@@ -238,9 +258,7 @@ class TestSolvedSystem:
     @pytest.mark.parametrize("omega", [1e-150, 0.3, 1.0, 7.0, 1e150])
     def test_arrays_have_the_stated_structure(self, omega, g, cutoff):
         system = solve(SystemParams(omega, g), TwoModeBasis(cutoff))
-        arrays = [(name, getattr(system, name)) for name in ARRAY_FIELDS]
-        arrays += symmetric_arrays(system)
-        for name, array in arrays:
+        for name, array in float_arrays(system):
             assert array.dtype == np.float64, name
             assert not array.flags.writeable, name
         assert np.array_equal(system.q.T, -system.q)
@@ -254,7 +272,8 @@ class TestSolvedSystem:
             pytest.param("q", lambda s: s.q + 1e-3 * s.x, id="q-not-antisymmetric"),
             pytest.param("q", lambda s: s.q + 0j, id="q-complex"),
             pytest.param("x", lambda s: s.x + 0j, id="x-complex"),
-            ("vectors", lambda s: s.vectors.astype(np.float32)),
+            pytest.param("ground", lambda s: s.ground.astype(np.float32), id="ground-float32"),
+            pytest.param("ground", lambda s: s.ground[:-1], id="ground-one-row-too-few"),
             pytest.param("x", lambda s: s.x.astype(np.float32), id="x-float32"),
             pytest.param("q", lambda s: s.q.astype(np.float32), id="q-float32"),
             pytest.param("x", lambda s: s.x + 1e-3 * s.q, id="x-not-symmetric"),
@@ -267,6 +286,8 @@ class TestSolvedSystem:
             # not the four blocks of H
             pytest.param("h_blocks", lambda s: s.h_blocks[:3], id="h-three-blocks"),
             pytest.param("h_blocks", lambda s: list(s.h_blocks), id="h-blocks-in-a-list"),
+            pytest.param("vectors", lambda s: s.vectors[1:], id="vectors-three-blocks"),
+            pytest.param("embeddings", lambda s: s.embeddings[:3], id="embeddings-three-blocks"),
         ],
     )
     def test_rejects_a_system_without_the_structure(self, field, tamper):
@@ -275,24 +296,32 @@ class TestSolvedSystem:
             dataclasses.replace(system, **{field: tamper(system)})
 
     @pytest.mark.parametrize(
-        "block, tamper",
+        "field, block, tamper",
         [
-            pytest.param(0, _nudge_off_diagonal, id="one-ulp"),  # one entry one ulp off its mirror
-            pytest.param(1, lambda h: h + np.triu(np.full_like(h, 1e-3)), id="not-symmetric"),
-            pytest.param(2, lambda h: h.astype(np.float32), id="float32"),
-            pytest.param(3, lambda h: h + 0j, id="complex"),
+            # one entry one ulp off its mirror
+            pytest.param("h_blocks", 0, _nudge_off_diagonal, id="one-ulp"),
+            pytest.param(
+                "h_blocks", 1, lambda h: h + np.triu(np.full_like(h, 1e-3)), id="not-symmetric"
+            ),
+            pytest.param("h_blocks", 2, lambda h: h.astype(np.float32), id="float32"),
+            pytest.param("h_blocks", 3, lambda h: h + 0j, id="complex"),
             # symmetric, but not the size of the block's state list
-            pytest.param(1, lambda h: h[:-1, :-1], id="one-state-too-few"),
-            pytest.param(2, lambda h: np.pad(h, (0, 1)), id="one-state-too-many"),
-            pytest.param(0, np.ravel, id="flattened"),
+            pytest.param("h_blocks", 1, lambda h: h[:-1, :-1], id="one-state-too-few"),
+            pytest.param("h_blocks", 2, lambda h: np.pad(h, (0, 1)), id="one-state-too-many"),
+            pytest.param("h_blocks", 0, np.ravel, id="flattened"),
+            # the eigensystem: float64, one energy and one column per block state
+            pytest.param("vectors", 2, lambda v: v.astype(np.float32), id="vectors-float32"),
+            pytest.param("vectors", 3, lambda v: v[:, :-1], id="vectors-one-column-too-few"),
+            pytest.param("energies", 0, lambda e: e + 0j, id="energies-complex"),
+            pytest.param("energies", 1, lambda e: e[:-1], id="energies-one-too-few"),
         ],
     )
-    def test_rejects_a_tampered_block(self, block, tamper):
+    def test_rejects_a_tampered_block(self, field, block, tamper):
         system = solve(SystemParams(1.0, 0.5), TwoModeBasis(6))
-        blocks = list(system.h_blocks)
+        blocks = list(getattr(system, field))
         blocks[block] = tamper(blocks[block])
-        with pytest.raises(ValueError, match=f"^h_blocks\\[{block}\\] must"):
-            dataclasses.replace(system, h_blocks=tuple(blocks))
+        with pytest.raises(ValueError, match=f"^{field}\\[{block}\\] must"):
+            dataclasses.replace(system, **{field: tuple(blocks)})
 
     @pytest.mark.parametrize("omega, g, cutoff", EXACT_STRUCTURE_SETTINGS)
     def test_solve_arrays_are_exactly_symmetric_or_antisymmetric(self, omega, g, cutoff):
@@ -321,7 +350,7 @@ class TestSolvedSystem:
     def test_ground_state_is_lowest_eigenvector(self):
         system = solve(SystemParams(1.0, 0.8), TwoModeBasis(8))
         h, gs = dense_hamiltonian(system), system.ground
-        assert np.max(np.abs(h @ gs - system.energies[0] * gs)) < 1e-12
+        assert np.max(np.abs(h @ gs - dense_eigensystem(system)[0][0] * gs)) < 1e-12
 
 
 SECTOR_SETTINGS = [
@@ -347,7 +376,6 @@ class TestSwapBlocks:
         basis = TwoModeBasis(cutoff)
         blocks = basis.swap_blocks()
         assert tuple(a.size for a, _ in blocks) == block_sizes(cutoff)
-        assert basis.swap_block_sizes() == block_sizes(cutoff)
         parity = [(a + b) % 2 for a, b in blocks]
         assert [set(p) for p in parity] == [{0}, {0}, {1}, {1}]
         for a, b in blocks:
@@ -373,7 +401,7 @@ class TestSwapBlocks:
         # swapped, exactly
         system = solve(SystemParams(omega, g), TwoModeBasis(cutoff))
         n1, n2 = system.basis.occupations()
-        vectors = system.vectors
+        vectors = dense_eigensystem(system)[1]
         swapped = vectors[n2 * system.basis.levels + n1]
         even = np.all(swapped == vectors, axis=0)
         odd = np.all(swapped == -vectors, axis=0)
@@ -436,7 +464,7 @@ class TestParitySectors:
     @pytest.mark.parametrize("omega, g, cutoff", SECTOR_SETTINGS)
     def test_sector_eigensystem_agrees_with_the_whole_h(self, omega, g, cutoff):
         system = solve(SystemParams(omega, g), TwoModeBasis(cutoff))
-        h, energies, vectors = dense_hamiltonian(system), system.energies, system.vectors
+        h, (energies, vectors) = dense_hamiltonian(system), dense_eigensystem(system)
         whole = np.linalg.eigh(h)[0]
         assert np.max(np.abs(energies - whole)) <= 1e-12 * np.max(np.abs(whole))
         rebuilt = (vectors * energies) @ vectors.T
@@ -487,26 +515,37 @@ class TestFactorForm:
                 scale = np.max(np.abs(dense))
                 assert np.max(np.abs(images[name] - dense)) <= 1e-14 * scale, (kind, name)
 
-    def test_holds_no_dense_operator_but_vectors(self):
-        # x and q are L x L, H is four blocks; ground is a column of vectors, so it costs
-        # nothing of its own
+    def test_holds_no_dense_product_space_array(self):
+        # x and q are L x L, H and its eigenvectors four blocks each, ground and the
+        # energies dim long, and the index tables four dim-long arrays
         system = solve(SystemParams(1.0, 0.5), TwoModeBasis(24))
         dim, levels = system.basis.dim, system.basis.levels
-        arrays = [getattr(system, n) for n in ARRAY_FIELDS] + list(system.h_blocks)
-        owners = {id(root): root for root in map(_root, arrays)}
+        owners = {id(root): root for root in map(_root, reachable_arrays(system))}
+        assert max(array.size for array in owners.values()) < dim**2
         held = sum(array.nbytes for array in owners.values())
         blocks = sum(n * n for n in block_sizes(24))
-        assert held <= (dim**2 + blocks + dim + 2 * levels**2) * 8
+        assert held <= (2 * blocks + 6 * dim + 2 * levels**2) * 8
+
+    def test_solve_holds_at_most_16_mb_at_the_largest_cutoff(self):
+        # the blocks of H and of the eigenvectors take 5.7 MB each; a dense dim x dim
+        # array of eigenvectors alone would take 22.6 MB
+        tracemalloc.start()
+        try:
+            system = solve(SystemParams(1.0, 0.5), TwoModeBasis(40))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert system.basis.dim == 1681 and held <= 16e6
 
 
 class TestCoupledHamiltonian:
     def test_uncoupled_ground_energy(self):
-        energy = solve(SystemParams(1.0, 0.0), TwoModeBasis(8)).energies[0]
+        energy = dense_eigensystem(solve(SystemParams(1.0, 0.0), TwoModeBasis(8)))[0][0]
         assert energy == pytest.approx(1.0, abs=1e-12)  # two zero-point halves
 
     def test_excitation_gaps_match_mode_frequencies(self):
         params = SystemParams(1.0, 0.8)
-        energies = solve(params, TwoModeBasis(12)).energies
+        energies = dense_eigensystem(solve(params, TwoModeBasis(12)))[0]
         assert energies[1] - energies[0] == pytest.approx(1.0, abs=1e-9)
         assert energies[2] - energies[0] == pytest.approx(eta(params), abs=1e-9)
 
@@ -521,7 +560,7 @@ class TestCoupledHamiltonian:
 
     def test_eigendecomposition_round_trip(self):
         system = solve(SystemParams(1.0, 0.8), TwoModeBasis(10))
-        h, energies, vectors = dense_hamiltonian(system), system.energies, system.vectors
+        h, (energies, vectors) = dense_hamiltonian(system), dense_eigensystem(system)
         rebuilt = (vectors * energies) @ vectors.conj().T
         assert np.max(np.abs(rebuilt - h)) < 1e-10 * np.max(np.abs(h))
 
@@ -599,12 +638,18 @@ class TestBellVector:
         params = SystemParams(1.0, g)
         system = solve(params, TwoModeBasis(12))
         vec = bell_vector(system, BellState.PSI_PLUS)
-        excitation = np.vdot(vec, dense_hamiltonian(system) @ vec).real - system.energies[0]
+        ground_energy = dense_eigensystem(system)[0][0]
+        excitation = np.vdot(vec, dense_hamiltonian(system) @ vec).real - ground_energy
         assert excitation == pytest.approx((1.0 + eta(params)) / 2.0, abs=1e-8)
 
-    def test_signals_unconverged_basis(self):
-        with pytest.raises(ConvergenceError, match="cutoff"):
-            bell_vector(solve(SystemParams(1.0, 3.0), TwoModeBasis(3)), BellState.PSI_PLUS)
+    @pytest.mark.parametrize(
+        "g, cutoff, norm",
+        [(3.0, 3, r"0\.972489423"), (1e150, 12, r"\d\.\d{8}e\+37")],  # 9 digits, not 38
+    )
+    def test_signals_unconverged_basis(self, g, cutoff, norm):
+        message = f"^entangled-state norm {norm} deviates from 1; increase the cutoff$"
+        with pytest.raises(ConvergenceError, match=message):
+            bell_vector(solve(SystemParams(1.0, g), TwoModeBasis(cutoff)), BellState.PSI_PLUS)
 
 
 def test_bare_quadratures_commute_across_oscillators():

@@ -6,7 +6,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dense_reference import dense_hamiltonian, dense_operators, kron_commutator_deviations
+from dense_reference import (
+    dense_eigensystem,
+    dense_hamiltonian,
+    dense_operators,
+    kron_commutator_deviations,
+)
 
 from bellosc import analytic, fock, oracle
 from bellosc.fock import TwoModeBasis, solve
@@ -204,7 +209,8 @@ class TestHeisenbergEvolution:
         basis, t = TwoModeBasis(10), 0.9
         system = solve(SystemParams(1.0, 0.8), basis)
         reports = heisenberg_evolution_check(system, t, 1e-8)
-        u = (system.vectors * np.exp(-1j * system.energies * t)) @ system.vectors.T
+        energies, vectors = dense_eigensystem(system)
+        u = (vectors * np.exp(-1j * energies * t)) @ vectors.T
         idx = np.ix_(basis.mask_total_at_most(2), basis.mask_total_at_most(2))
         ops = dense_operators(system)
         modes = (
@@ -270,24 +276,19 @@ class TestEvolveExpectations:
         for col in ("dx1", "dx2", "dp1", "dp2"):
             assert np.max(np.abs(getattr(evolved, col) - getattr(closed, col))) < 1e-6
 
-    @pytest.mark.parametrize("state, mixed", [(PSI_P, False), (PSI_M, False), (PSI_M, True)])
+    @pytest.mark.parametrize("state", [PSI_P, PSI_M])
     @pytest.mark.parametrize("omega, cutoff", [(2.0, 12), (1e-150, 6), (1e150, 20)])
-    def test_matches_dense_complex_evolution(self, monkeypatch, omega, cutoff, state, mixed):
+    def test_matches_dense_complex_evolution(self, omega, cutoff, state):
         # the oracle multiplies real operators into the float view of the
         # states and reduces the moments as real dot products; complex products
         # with the complex momenta p = i q must agree, in every unit of omega
         params = SystemParams(omega=omega, coupling_ratio=0.8)
         system = solve(params, TwoModeBasis(cutoff))
         times = np.linspace(0.0, 2 * math.pi / abs(beat_frequency(params)), 50)
-        if mixed:
-            # <x> and <p> vanish on the entangled states; on (|g> + i|psi>) / sqrt(2)
-            # they oscillate, so the first moments enter the result
-            superposition = (system.ground + 1j * fock.bell_vector(system, state)) / math.sqrt(2)
-            monkeypatch.setattr(fock, "bell_vector", lambda *_: superposition)
-        psi0 = fock.bell_vector(system, state)
-        coeffs = system.vectors.T @ psi0
-        phases = np.exp(-1j * np.multiply.outer(system.energies, times))
-        psi = system.vectors.astype(complex) @ (phases * coeffs[:, None])
+        energies, vectors = dense_eigensystem(system)
+        coeffs = vectors.T @ fock.bell_vector(system, state)
+        phases = np.exp(-1j * np.multiply.outer(energies, times))
+        psi = vectors.astype(complex) @ (phases * coeffs[:, None])
         evolved = evolve_expectations(system, state, times)
         w = params.omega
         ops = dense_operators(system)
@@ -307,50 +308,67 @@ class TestEvolveExpectations:
         "omega, g, cutoff", [(1e-150, 0.5, 6), (1.0, 1.5, 12), (1e150, 0.0, 20)]
     )
     def test_phases_are_the_bits_of_the_complex_exponential(self, monkeypatch, omega, g, cutoff):
-        # the oracle writes cos and -sin of E t; the reference takes np.exp of -i E t
+        # evolve writes cos and -sin of E t; the reference takes np.exp of -i E t
         params = SystemParams(omega, g)
         system = solve(params, TwoModeBasis(cutoff))
-        coeffs = system.vectors[:, :1]  # any real coefficients: U(t) is compared directly
-        eigensystem = (system.energies, system.vectors)
+        rng = np.random.default_rng(cutoff)
+        v = rng.standard_normal(system.basis.dim)  # in every block
 
-        def exp_evolve(energies, vectors, coeffs, times):
-            phases = np.exp(-1j * np.multiply.outer(energies, times))
-            return oracle._real_times(vectors, phases * coeffs)
+        def exp_evolve(system, v, times):
+            """SolvedSystem.evolve's block arithmetic, with np.exp phases."""
+            v = v.reshape(system.basis.dim, -1)
+            out = np.zeros((system.basis.dim, max(v.shape[1], np.size(times))), complex)
+            blocks = zip(system.embeddings, system.energies, system.vectors)
+            for (rows, mirrors, weights, mirror_weights), energies, vectors in blocks:
+                part = weights * v[rows] + mirror_weights * v[mirrors]
+                if part.any():
+                    phases = np.exp(-1j * np.multiply.outer(energies, times))
+                    coeffs = (vectors.T @ part) * phases
+                    y = (vectors @ coeffs.view(np.float64)).view(np.complex128)
+                    out[rows] += weights * y
+                    out[mirrors] += mirror_weights * y
+            return out
 
         for times in (
             np.linspace(0.0, default_t_max(params), 200),
             np.array([1.0 / omega]),
             np.linspace(0.0, 1e7, 200),
         ):
-            direct = oracle._evolve(*eigensystem, coeffs, times)
-            expected = exp_evolve(*eigensystem, coeffs, times)
+            direct, expected = system.evolve(v, times), exp_evolve(system, v, times)
             assert np.array_equal(direct.view(np.uint64), expected.view(np.uint64))
             evolved = evolve_expectations(system, PSI_M, times)
             with monkeypatch.context() as patch:
-                patch.setattr(oracle, "_evolve", exp_evolve)
+                patch.setattr(fock.SolvedSystem, "evolve", exp_evolve)
                 reference = evolve_expectations(system, PSI_M, times)
             for col in ("dx1", "dx2", "dp1", "dp2"):
                 ours, ref = getattr(evolved, col), getattr(reference, col)
                 assert np.array_equal(ours.view(np.uint64), ref.view(np.uint64)), col
+        # a block of states at one time, as the Heisenberg check evolves them
+        states, t = rng.standard_normal((system.basis.dim, 3)), (1.0 / omega,)
+        direct, expected = system.evolve(states, t), exp_evolve(system, states, t)
+        assert direct.shape == states.shape
+        assert np.array_equal(direct.view(np.uint64), expected.view(np.uint64))
 
     @pytest.mark.parametrize("state", [PSI_P, PSI_M])
-    def test_evolves_an_entangled_state_in_the_odd_sector_only(self, monkeypatch, state):
-        # the state's coefficients on the even-sector eigenvectors are exactly zero
+    def test_evolves_an_entangled_state_in_the_odd_blocks_only(self, state):
+        # the (even, +) and (even, -) blocks are never read: with their eigensystems
+        # made nan the evolved state is the same, bit for bit
         system = solve(SystemParams(1.0, 0.5), TwoModeBasis(12))
-        passed, evolve = [], oracle._evolve
-
-        def recording_evolve(energies, vectors, coeffs, times):
-            passed.append((energies, vectors))
-            return evolve(energies, vectors, coeffs, times)
-
-        monkeypatch.setattr(oracle, "_evolve", recording_evolve)
-        evolve_expectations(system, state, np.linspace(0.0, 10.0, 5))
-        odd = np.flatnonzero(np.add(*system.basis.occupations()) % 2)  # rows with n1 + n2 odd
-        columns = np.flatnonzero(np.any(system.vectors[odd], axis=0))
-        assert columns.size == odd.size
-        [(energies, vectors)] = passed
-        assert np.array_equal(energies, system.energies[columns])
-        assert np.array_equal(vectors, system.vectors[:, columns])
+        psi, times = fock.bell_vector(system, state), np.linspace(0.0, 10.0, 5)
+        evolved = system.evolve(psi, times)
+        nan = [np.full_like(m, np.nan) for m in (*system.energies[:2], *system.vectors[:2])]
+        odd_only = dataclasses.replace(
+            system,
+            energies=(*nan[:2], *system.energies[2:]),
+            vectors=(*nan[2:], *system.vectors[2:]),
+        )
+        assert np.array_equal(odd_only.evolve(psi, times), evolved)
+        even = np.add(*system.basis.occupations()) % 2 == 0
+        assert not np.any(evolved[even])  # exactly 0 on every row with n1 + n2 even
+        assert np.all(np.any(evolved[~even], axis=0))
+        # and each image x psi(t), q psi(t) on every odd row: every first moment is exactly 0
+        for image in system.bare_images(evolved):
+            assert not np.any(image[~even])
 
     def test_time_blocks_agree_with_one_block(self, monkeypatch):
         system = solve(SystemParams(1.0, 0.8), TwoModeBasis(10))
@@ -373,7 +391,7 @@ class TestEvolutionInvariants:
     def test_unitarity_norm_and_energy_conservation(self):
         basis = TwoModeBasis(12)
         system = solve(SystemParams(1.0, 0.8), basis)
-        energies, vectors, h = system.energies, system.vectors, dense_hamiltonian(system)
+        (energies, vectors), h = dense_eigensystem(system), dense_hamiltonian(system)
         u = (vectors * np.exp(-1j * energies * 0.73)) @ vectors.conj().T
         assert np.max(np.abs(u.conj().T @ u - np.eye(basis.dim))) < 1e-10
 
