@@ -42,7 +42,6 @@ __all__ = ["main"]
 EXIT_PIPE_CLOSED = 141  # 128 + SIGPIPE, what a shell reports for a writer the signal ended
 FIGURE_COUPLINGS = (0.0, 0.2, 0.8)  # named coupling regimes: none, strong, very strong
 FIGURE_SAMPLE_COUPLING = 0.8
-SWEEP_SAMPLES_PER_PERIOD = 4096
 DEFAULT_SWEEP_GRID = tuple(np.linspace(0.0, 2.0, 81))
 
 
@@ -403,8 +402,6 @@ def _trace_rows(params: SystemParams, state: BellState, t_max: float, steps: int
     trace that fails a ``FluctuationTrace`` invariant writes no byte.  The four
     non-coupled baselines are one value each, a zero-stride view per block.
     """
-    if steps > MAX_GRID_POINTS:
-        raise ValueError(f"steps = {steps} exceeds the {MAX_GRID_POINTS:.0e} point guard")
     analytic.check_trace(analytic.trace_blocks(params, state, 0.0, t_max, steps, _BLOCK_ROWS))
     amp1_nc, up1_nc = analytic.baseline_nc(state, OscillatorIndex.ONE)
     up2_nc = analytic.baseline_nc(state, OscillatorIndex.TWO)[1]
@@ -430,7 +427,7 @@ def _sweep_columns(
     for p in params:
         row = [p.coupling_ratio, eta(p), abs(beat_frequency(p)) / omega]
         for osc in (OscillatorIndex.ONE, OscillatorIndex.TWO):
-            st = analytic.period_statistics(p, state, osc, SWEEP_SAMPLES_PER_PERIOD)
+            st = analytic.period_statistics(p, state, osc)
             row += [st.min_product, st.max_product, st.mean_product, st.fraction_below_nc]
         rows.append(row)
     data = np.asarray(rows, dtype=float)
@@ -789,6 +786,8 @@ def main(argv=None) -> int:
         args = _parser.parse_args(_attach_negative_values(argv))
         if args.steps < 2:  # every grid has both ends; sweep takes the default
             raise ValueError(f"--steps must be >= 2, got {args.steps}")
+        if args.steps > MAX_GRID_POINTS:  # checked before any grid is allocated
+            raise ValueError(f"--steps {args.steps} exceeds the {MAX_GRID_POINTS:.0e} point guard")
         return globals()[args.handler](args)
     except BrokenPipeError:
         return _pipe_closed()

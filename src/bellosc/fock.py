@@ -393,7 +393,9 @@ def bell_vector(system: SolvedSystem, state: BellState) -> np.ndarray:
     raw = (am_g + sign * ap_g) / np.sqrt(2.0)
     norm = float(np.linalg.norm(raw))
     if abs(norm - 1.0) > 1e-3:
-        raise ConvergenceError(
-            f"entangled-state norm {norm:.9g} deviates from 1; increase the cutoff"
-        )
+        if system.basis.cutoff < MAX_CUTOFF:
+            remedy = "increase the cutoff"
+        else:
+            remedy = f"the largest accepted cutoff, {MAX_CUTOFF}, cannot represent this coupling"
+        raise ConvergenceError(f"entangled-state norm {norm:.9g} deviates from 1; {remedy}")
     return raw / norm

@@ -8,10 +8,12 @@ Gaussian sense.  The counter-based Philox generator makes output a pure
 function of (params, state, oscillator, config), so parallel sweeps with
 distinct seeds stay reproducible.
 
-``realization_blocks`` makes a realization in consecutive blocks of grid
-points, all drawn from one Philox stream, so a caller that writes each block
-out holds O(block) values at any grid size.  ``sample_realization`` fills
-whole arrays from the same blocks; the two agree bit for bit.
+The grid and the envelope are ``analytic.trace_blocks``' times and dx column,
+so a realization shares its grid with ``trace`` bit for bit; this module adds
+only the draw.  ``realization_blocks`` makes a realization in consecutive
+blocks of grid points, all drawn from one Philox stream, so a caller that
+writes each block out holds O(block) values at any grid size.
+``sample_realization`` is the realization as one block.
 """
 
 from __future__ import annotations
@@ -21,19 +23,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import normalized_x_fluctuation
+from .analytic import trace_blocks
 from .model import BellState, OscillatorIndex, SystemParams
 
 __all__ = ["RealizationConfig", "Realization", "realization_blocks", "sample_realization"]
 
 MAX_GRID_POINTS = 10**7
-_BLOCK_ROWS = 8192  # grid points per block when sample_realization fills whole arrays
 PARTS = ("times", "values", "envelope")  # the fields of Realization, in order
 
 
 @dataclass(frozen=True)
 class RealizationConfig:
-    """Seed and uniform time grid of one stochastic realization."""
+    """Seed and time grid of one stochastic realization.
+
+    The grid is ``np.linspace(0, t_max, points)``: ``dt`` sets only the number
+    of points, and the step is dt where dt divides t_max (up to rounding), a
+    little more where it does not.
+    """
 
     seed: int
     dt: float
@@ -44,9 +50,9 @@ class RealizationConfig:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if not (math.isfinite(self.t_max) and self.t_max > 0):
             raise ValueError(f"t_max must be finite and > 0, got {self.t_max!r}")
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
-        # grid() holds floor(t_max/dt + 1e-9) + 1 points, which is more than
+        if not (math.isfinite(self.dt) and 0 < self.dt <= self.t_max):
+            raise ValueError(f"dt must be finite and in (0, t_max], got {self.dt!r}")
+        # The grid holds floor(t_max/dt + 1e-9) + 1 points, which is more than
         # MAX_GRID_POINTS exactly when t_max/dt + 1e-9 reaches it (an integer).
         if self.t_max / self.dt + 1e-9 >= MAX_GRID_POINTS:
             raise ValueError(
@@ -58,10 +64,6 @@ class RealizationConfig:
     def points(self) -> int:
         """Number of grid points."""
         return int(math.floor(self.t_max / self.dt + 1e-9)) + 1
-
-    def grid(self) -> np.ndarray:
-        """Times 0, dt, 2 dt, ... covering [0, t_max]."""
-        return self.dt * np.arange(self.points)
 
 
 @dataclass(frozen=True)
@@ -90,14 +92,12 @@ def realization_blocks(
     blocks join into ``sample_realization``'s arrays bit for bit.
     """
     rng = np.random.Generator(np.random.Philox(key=int(config.seed)))
-    n = config.points
-    for start in range(0, n, rows):
-        block = {"times": config.dt * np.arange(start, min(start + rows, n))}
-        if "envelope" in parts or "values" in parts:
-            envelope = normalized_x_fluctuation(params, state, osc, block["times"])
-            block["envelope"] = np.asarray(envelope, dtype=float)
+    dx = f"dx{int(osc)}"
+    names = (dx,) if "envelope" in parts or "values" in parts else ()
+    for block in trace_blocks(params, state, 0.0, config.t_max, config.points, rows, names):
+        block["envelope"] = block.get(dx)  # None where no part needs it
         if "values" in parts:
-            block["values"] = block["envelope"] * rng.standard_normal(len(block["times"]))
+            block["values"] = block[dx] * rng.standard_normal(len(block["times"]))
         yield tuple(block[part] for part in parts)
 
 
@@ -111,11 +111,5 @@ def sample_realization(
 
     Identical inputs reproduce identical output bit for bit.
     """
-    whole = [np.empty(config.points) for _ in PARTS]
-    start = 0
-    for block in realization_blocks(params, state, osc, config, _BLOCK_ROWS):
-        stop = start + len(block[0])
-        for array, part in zip(whole, block):
-            array[start:stop] = part
-        start = stop
-    return Realization(*whole)
+    (block,) = realization_blocks(params, state, osc, config, config.points)
+    return Realization(*block)

@@ -270,7 +270,8 @@ def test_criterion_11_sampler_envelope_statistics(capsys):
     for seed in range(n_real):
         config = RealizationConfig(seed=seed, dt=dt, t_max=dt * (n_grid - 1))
         values[seed] = sample_realization(params, PSI_P, OSC1, config).values
-    grid = RealizationConfig(seed=0, dt=dt, t_max=dt * (n_grid - 1)).grid()
+    config = RealizationConfig(seed=0, dt=dt, t_max=dt * (n_grid - 1))
+    grid = sample_realization(params, PSI_P, OSC1, config).times
     envelope = np.asarray(normalized_x_fluctuation(params, PSI_P, OSC1, grid))
     rel = np.max(np.abs(values.std(axis=0, ddof=1) - envelope) / envelope)
 

@@ -492,7 +492,7 @@ class TestTrace:
     def test_steps_above_grid_guard_is_config_error(self, capsys):
         code, _, err = run(capsys, "trace", "--steps", "100000000")
         assert code == 2
-        assert one_error_line(err) and "steps" in err
+        assert one_error_line(err) and "--steps 100000000 exceeds" in err
 
 
 class TestSweep:
@@ -598,12 +598,17 @@ class TestSample:
         assert code == 0
         assert peak < 6e6
 
-    def test_steps_above_grid_guard_is_config_error(self, capsys):
-        # 10^7 + 1 grid points, one more than trace accepts; rejected before any allocation
-        code, out, err = run(capsys, "sample", "--steps", "10000001")
+    @pytest.mark.parametrize("command", ["trace", "sample", "figures"])
+    def test_steps_above_grid_guard_is_config_error(self, command, tmp_path, capsys):
+        # 10^7 + 1 grid points, one more than any export accepts; rejected by
+        # cli.main before any allocation, in the option's own terms
+        target = tmp_path / "out"
+        where = ("--out-dir" if command == "figures" else "--output", str(target))
+        code, out, err = run(capsys, command, "--steps", "10000001", *where)
         assert code == 2
         assert out == ""
-        assert one_error_line(err) and "point guard" in err
+        assert one_error_line(err) and "--steps 10000001 exceeds" in err
+        assert not target.exists()
 
     def test_json_output(self, capsys):
         code, out, _ = run(
@@ -791,6 +796,19 @@ _SET_CHANGES = {"omega": 1.3, "coupling": 0.7, "state": "psi-minus", "t_max": 9.
 
 class TestSurface:
     """Options, defaults and export metadata that scripts and saved files rely on."""
+
+    def test_runtime_imports_only_numpy(self):
+        # The test environment has these installed, so only a fresh interpreter
+        # shows whether the runtime imports one of them.
+        code = (
+            "import sys, bellosc.cli, bellosc.oracle, bellosc.sampler; "
+            "print(sorted({'scipy', 'sympy', 'mpmath', 'hypothesis', 'pytest'}"
+            " & {name.partition('.')[0] for name in sys.modules}))"
+        )
+        path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
     def test_subcommand_options(self):
         parser = cli.build_parser()

@@ -643,11 +643,22 @@ class TestBellVector:
         assert excitation == pytest.approx((1.0 + eta(params)) / 2.0, abs=1e-8)
 
     @pytest.mark.parametrize(
-        "g, cutoff, norm",
-        [(3.0, 3, r"0\.972489423"), (1e150, 12, r"\d\.\d{8}e\+37")],  # 9 digits, not 38
+        "g, cutoff, norm, remedy",
+        [
+            (3.0, 3, r"0\.972489423", "increase the cutoff"),
+            (1e150, 12, r"\d\.\d{8}e\+37", "increase the cutoff"),  # 9 digits, not 38
+            # no accepted cutoff is larger, so none is suggested
+            (
+                1e150,
+                fock.MAX_CUTOFF,
+                r"\d\.\d{8}e\+37",
+                "the largest accepted cutoff, 40, cannot represent this coupling",
+            ),
+        ],
+        ids=["small-basis", "huge-coupling", "huge-coupling-max-cutoff"],
     )
-    def test_signals_unconverged_basis(self, g, cutoff, norm):
-        message = f"^entangled-state norm {norm} deviates from 1; increase the cutoff$"
+    def test_signals_unconverged_basis(self, g, cutoff, norm, remedy):
+        message = f"^entangled-state norm {norm} deviates from 1; {remedy}$"
         with pytest.raises(ConvergenceError, match=message):
             bell_vector(solve(SystemParams(1.0, g), TwoModeBasis(cutoff)), BellState.PSI_PLUS)
 

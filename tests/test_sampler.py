@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from bellosc import sampler
+from bellosc import analytic
 from bellosc.analytic import normalized_x_fluctuation
-from bellosc.model import BellState, OscillatorIndex, SystemParams
+from bellosc.model import BellState, OscillatorIndex, SystemParams, default_t_max
 from bellosc.sampler import RealizationConfig, realization_blocks, sample_realization
 
 PSI_P = BellState.PSI_PLUS
@@ -15,7 +15,8 @@ OSC1 = OscillatorIndex.ONE
 class TestRealizationConfig:
     def test_grid_covers_t_max(self):
         config = RealizationConfig(seed=1, dt=0.5, t_max=2.0)
-        assert np.allclose(config.grid(), [0.0, 0.5, 1.0, 1.5, 2.0])
+        times = sample_realization(SystemParams(1.0, 0.5), PSI_P, OSC1, config).times
+        assert np.allclose(times, [0.0, 0.5, 1.0, 1.5, 2.0])
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -24,6 +25,7 @@ class TestRealizationConfig:
             {"seed": 2**64, "dt": 0.1, "t_max": 1.0},
             {"seed": 1, "dt": 0.0, "t_max": 1.0},
             {"seed": 1, "dt": 0.1, "t_max": 0.0},
+            {"seed": 1, "dt": 2.0, "t_max": 1.0},  # one point cannot span [0, t_max]
             {"seed": 1, "dt": 1e-9, "t_max": 100.0},  # trips the point guard
         ],
     )
@@ -32,8 +34,8 @@ class TestRealizationConfig:
             RealizationConfig(**kwargs)
 
     def test_point_guard_counts_the_grid(self):
-        # 10^7 steps make 10^7 + 1 grid points, one over the guard; grid() is
-        # never called, so nothing of that size is allocated
+        # 10^7 steps make 10^7 + 1 grid points, one over the guard; no grid is
+        # made, so nothing of that size is allocated
         t = 5.0
         with pytest.raises(ValueError, match="point guard"):
             RealizationConfig(seed=1, dt=t / 1e7, t_max=t)
@@ -57,7 +59,7 @@ class TestDeterminism:
         assert not np.array_equal(a.values, b.values)
 
 
-BLOCK = sampler._BLOCK_ROWS  # grid points per block when sample_realization fills its arrays
+BLOCK = 8192  # rows per block, so the grids below span one, several and a partial block
 
 
 class TestBlocks:
@@ -99,10 +101,24 @@ class TestBlocks:
         def fail(*args):
             raise AssertionError("envelope computed")
 
-        monkeypatch.setattr(sampler, "normalized_x_fluctuation", fail)
+        params = SystemParams(1.0, 0.5)
         config = RealizationConfig(seed=9, dt=0.25, t_max=10.0)
-        blocks = realization_blocks(SystemParams(1.0, 0.5), PSI_P, OSC1, config, 16, ("times",))
-        assert np.concatenate([times for (times,) in blocks]).tobytes() == config.grid().tobytes()
+        grid = sample_realization(params, PSI_P, OSC1, config).times
+        monkeypatch.setattr(analytic, "_beat_cos", fail)
+        monkeypatch.setattr(analytic, "_amplitude", fail)
+        blocks = realization_blocks(params, PSI_P, OSC1, config, 16, ("times",))
+        assert np.concatenate([times for (times,) in blocks]).tobytes() == grid.tobytes()
+
+    @pytest.mark.parametrize("osc", list(OscillatorIndex))
+    @pytest.mark.parametrize("g, n", [(0.5, 200), (0.8, 2048), (0.2, 3 * BLOCK + 1)])
+    def test_grid_and_envelope_are_the_trace(self, g, n, osc):
+        # dt * 199 rounds past t_max at g = 0.5, n = 200; the trace's last point is t_max
+        params = SystemParams(1.0, g)
+        t = default_t_max(params)
+        real = sample_realization(params, PSI_P, osc, RealizationConfig(4, t / (n - 1), t))
+        closed = analytic.trace(params, PSI_P, 0.0, t, n)
+        assert real.times.tobytes() == closed.times.tobytes()
+        assert real.envelope.tobytes() == getattr(closed, f"dx{int(osc)}").tobytes()
 
 
 class TestEnvelopeStatistics:
@@ -127,7 +143,8 @@ class TestEnvelopeStatistics:
         params = SystemParams(1.0, 0.8)
         config = RealizationConfig(0, 0.4, 0.4 * 63)
         std, mean = self._empirical_std(params, 10_000, config.dt, config.t_max)
-        envelope = normalized_x_fluctuation(params, PSI_P, OSC1, config.grid())
+        times = sample_realization(params, PSI_P, OSC1, config).times
+        envelope = normalized_x_fluctuation(params, PSI_P, OSC1, times)
         assert np.max(np.abs(std - envelope) / envelope) < 0.05
         # zero-mean draws: sample mean stays within a few standard errors
         assert np.max(np.abs(mean) / (envelope / np.sqrt(10_000))) < 6.0
